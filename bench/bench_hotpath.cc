@@ -1,11 +1,9 @@
 // Hot-path benchmark for the merge-based ts-list kernel and the columnar
-// SIMD gate: mines one mining-heavy Table-4 cell on each Table-7 dataset
-// plus a dense-synthetic burst workload, at 1 and 8 worker threads, and
-// reports wall seconds, phase split, the merge-kernel counters (merges /
-// runs / timestamps / scratch), and the gate-scan counters (lists / gaps /
-// SIMD lane utilization). Emits BENCH_hotpath.json (bench_util.h
-// JsonRecords; the document header records the active SIMD level —
-// RPM_FORCE_SCALAR=1 measures the scalar fallback on the same binary).
+// gate: mines one mining-heavy Table-4 cell on each Table-7 dataset plus a
+// dense-synthetic burst workload, at 1 and 8 worker threads, and reports
+// wall seconds, phase split, the merge-kernel counters (merges / runs /
+// timestamps / scratch), and the gate-scan counters (lists / gaps).
+// Emits BENCH_hotpath.json (bench_util.h JsonRecords).
 //
 // The dense-synthetic workload is the kernel's target regime: a small
 // hashtag universe dominated by long planted burst events, so transaction
@@ -116,19 +114,16 @@ int main() {
 
   JsonRecords json("hotpath", scale);
   int violations = 0;
-  std::printf("simd dispatch: %s\n\n",
-              rpm::SimdLevelName(rpm::ActiveSimdLevel()));
-  std::printf("%-12s %-8s %8s %9s %9s %11s %12s %12s %11s %9s %12s %7s\n",
+  std::printf("%-12s %-8s %8s %9s %9s %11s %12s %12s %11s %9s %12s\n",
               "dataset", "threads", "patterns", "wall_s", "mine_s", "merges",
-              "runs", "timestamps", "scratch_B", "run_len", "gate_gaps",
-              "simd%");
+              "runs", "timestamps", "scratch_B", "run_len", "gate_gaps");
   for (const Workload& w : workloads) {
     rpm::Result<rpm::RpParams> params = rpm::MakeParamsWithMinPsFraction(
         w.per, w.min_ps_frac, w.min_rec, w.db->size());
     const double baseline_mine = BaselineMineSeconds(w.dataset);
     size_t base_patterns = 0;
     size_t base_merges = 0, base_runs = 0, base_timestamps = 0;
-    size_t base_gate_lists = 0, base_gate_gaps = 0, base_gate_simd = 0;
+    size_t base_gate_lists = 0, base_gate_gaps = 0;
     for (size_t threads : thread_counts) {
       rpm::RpGrowthOptions options;
       options.num_threads = threads;
@@ -143,41 +138,33 @@ int main() {
         base_timestamps = s.timestamps_merged;
         base_gate_lists = s.gate_lists_scanned;
         base_gate_gaps = s.gate_gaps_scanned;
-        base_gate_simd = s.gate_gaps_simd;
       } else if (s.patterns_emitted != base_patterns ||
                  s.merge_invocations != base_merges ||
                  s.runs_merged != base_runs ||
                  s.timestamps_merged != base_timestamps ||
                  s.gate_lists_scanned != base_gate_lists ||
-                 s.gate_gaps_scanned != base_gate_gaps ||
-                 s.gate_gaps_simd != base_gate_simd) {
+                 s.gate_gaps_scanned != base_gate_gaps) {
         ++violations;
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: %s at %zu threads: patterns "
                      "%zu/%zu merges %zu/%zu runs %zu/%zu ts %zu/%zu gate "
-                     "%zu/%zu gaps %zu/%zu simd %zu/%zu\n",
+                     "%zu/%zu gaps %zu/%zu\n",
                      w.dataset, threads, s.patterns_emitted, base_patterns,
                      s.merge_invocations, base_merges, s.runs_merged,
                      base_runs, s.timestamps_merged, base_timestamps,
                      s.gate_lists_scanned, base_gate_lists,
-                     s.gate_gaps_scanned, base_gate_gaps, s.gate_gaps_simd,
-                     base_gate_simd);
+                     s.gate_gaps_scanned, base_gate_gaps);
       }
       const double avg_run_len =
           s.runs_merged > 0
               ? static_cast<double>(s.timestamps_merged) / s.runs_merged
               : 0.0;
-      const double simd_util =
-          s.gate_gaps_scanned > 0
-              ? 100.0 * static_cast<double>(s.gate_gaps_simd) /
-                    static_cast<double>(s.gate_gaps_scanned)
-              : 0.0;
       std::printf("%-12s %-8zu %8zu %9.3f %9.3f %11zu %12zu %12zu %11zu "
-                  "%9.2f %12zu %6.1f%%\n",
+                  "%9.2f %12zu\n",
                   w.dataset, threads, s.patterns_emitted, s.total_seconds,
                   s.mine_seconds, s.merge_invocations, s.runs_merged,
                   s.timestamps_merged, s.scratch_bytes_peak, avg_run_len,
-                  s.gate_gaps_scanned, simd_util);
+                  s.gate_gaps_scanned);
       std::fflush(stdout);
 
       json.BeginRecord();
@@ -199,8 +186,6 @@ int main() {
       json.Add("avg_run_length", avg_run_len);
       json.Add("gate_lists_scanned", s.gate_lists_scanned);
       json.Add("gate_gaps_scanned", s.gate_gaps_scanned);
-      json.Add("gate_gaps_simd", s.gate_gaps_simd);
-      json.Add("simd_lane_utilization", simd_util / 100.0);
       json.Add("tree_build_threads", s.tree_build_threads);
       json.Add("tree_partials_merged", s.tree_partials_merged);
       json.Add("tree_merge_seconds", s.tree_merge_seconds);

@@ -15,7 +15,6 @@
 #include "rpm/core/rp_growth.h"
 #include "rpm/core/rp_list.h"
 #include "rpm/core/rp_tree.h"
-#include "rpm/core/ts_block.h"
 #include "rpm/core/ts_merge.h"
 #include "rpm/gen/hashtag_generator.h"
 #include "rpm/gen/quest_generator.h"
@@ -139,10 +138,9 @@ void BM_FusedGateAndIntervals(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedGateAndIntervals)->Range(1 << 5, 1 << 18);
 
-/// The masked (columnar, SIMD-dispatched) gate on the same inputs as
-/// BM_FusedGateAndIntervals — the per-scan speedup of the ts_block
-/// kernel path. Run with RPM_FORCE_SCALAR=1 to measure the masked scan
-/// without vector kernels.
+/// The masked (break-mask column + bit-walk) gate on the same inputs as
+/// BM_FusedGateAndIntervals. The pair informs kMaskedScanMinGaps, the
+/// list length from which the miners take the masked path (measures.cc).
 void BM_MaskedGateAndIntervals(benchmark::State& state) {
   TimestampList ts = MakeTimestamps(static_cast<size_t>(state.range(0)), 2);
   RpParams params;
@@ -159,19 +157,6 @@ void BM_MaskedGateAndIntervals(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MaskedGateAndIntervals)->Range(1 << 5, 1 << 18);
-
-/// The break-mask kernel alone (no run bookkeeping): the pure columnar
-/// compare throughput at the active dispatch level.
-void BM_ComputeBreakMasks(benchmark::State& state) {
-  TimestampList ts = MakeTimestamps(static_cast<size_t>(state.range(0)), 2);
-  std::vector<uint64_t> masks(TsBlockWords(ts.size()));
-  for (auto _ : state) {
-    ComputeBreakMasks(ts.data(), ts.size(), 4, masks.data());
-    benchmark::DoNotOptimize(masks.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ComputeBreakMasks)->Range(1 << 10, 1 << 18);
 
 void BM_ComputeErec(benchmark::State& state) {
   TimestampList ts = MakeTimestamps(static_cast<size_t>(state.range(0)), 1);

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "rpm/common/cpu_features.h"
 #include "rpm/common/string_util.h"
 #include "rpm/gen/paper_datasets.h"
 #include "rpm/timeseries/database_stats.h"
@@ -131,12 +130,12 @@ inline std::string JsonEscape(const std::string& s) {
 
 /// Flat array-of-records JSON document builder for bench reports:
 /// {"bench": <name>, "scale": <s>, "hardware_concurrency": <hw>,
-///  "simd_level": <active dispatch level>, "git_commit": <build commit>,
-///  "generated_at": <ISO UTC>, "records": [{...}, ...]}.
+///  "git_commit": <build commit>, "generated_at": <ISO UTC>,
+///  "records": [{...}, ...]}.
 /// The host fields make snapshots self-describing: a diff tool can
-/// refuse to compare runs from machines with different core counts or a
-/// forced-scalar run against a vectorized one, and the provenance pair
-/// answers "which build produced this file, when" long after the run.
+/// refuse to compare runs from machines with different core counts, and
+/// the provenance pair answers "which build produced this file, when"
+/// long after the run.
 /// Values are rendered on Add, so records may mix field sets freely
 /// (they shouldn't — keep them uniform for easy loading).
 class JsonRecords {
@@ -174,9 +173,7 @@ class JsonRecords {
     out += rpm::FormatDouble(scale_, 4);
     out += ",\n  \"hardware_concurrency\": ";
     out += std::to_string(std::thread::hardware_concurrency());
-    out += ",\n  \"simd_level\": \"";
-    out += rpm::SimdLevelName(rpm::ActiveSimdLevel());
-    out += "\",\n  \"git_commit\": \"";
+    out += ",\n  \"git_commit\": \"";
     out += JsonEscape(RPM_GIT_COMMIT);
     out += "\",\n  \"generated_at\": \"";
     out += JsonEscape(IsoTimestampUtc());

@@ -21,9 +21,9 @@ fraction, minRec, and the windowed-bench window/delta sizes), then:
     informational "new field" / "removed field" rows — a bench gaining
     or losing instrumentation is an expected schema change, not a
     mismatch (it becomes one only when the shared fields disagree);
-  * refuses to compare times across snapshots taken at different scales,
-    hardware_concurrency or SIMD dispatch levels (counter checks still
-    run — they are machine-independent).
+  * refuses to compare times across snapshots taken at different scales
+    or hardware_concurrency (counter checks still run — they are
+    machine-independent).
 
 Exit status: 0 unless --fail-on-regression is given and a regression was
 found (then 1); 2 on malformed input. scripts/verify.sh runs this as a
@@ -47,7 +47,7 @@ TIME_FIELDS = [
 ]
 
 # Schedule-invariant counters: identical inputs must produce identical
-# values regardless of machine, threads or SIMD level. The windowed
+# values regardless of machine or threads. The windowed
 # maintenance counters qualify because the record key pins the delta
 # schedule (window_txns, delta_txns) alongside the thresholds.
 COUNTER_FIELDS = [
@@ -241,7 +241,7 @@ def main():
                  f"{base.get('bench')!r} vs {cur.get('bench')!r}")
 
     compare_times = True
-    for field in ["scale", "hardware_concurrency", "simd_level"]:
+    for field in ["scale", "hardware_concurrency"]:
         b, c = base.get(field), cur.get(field)
         if b is not None and c is not None and b != c:
             print(f"bench_compare: WARNING: {field} differs "

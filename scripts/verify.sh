@@ -90,9 +90,6 @@ fi
 
 echo "== stage 4: differential harness smoke =="
 ./build/src/rpminer verify --cases=200 --seed=7
-# Same harness with SIMD dispatch forced off: the masked scalar fallback
-# and the plain scalar loops must also agree everywhere.
-RPM_FORCE_SCALAR=1 ./build/src/rpminer verify --cases=200 --seed=7
 
 echo "== stage 5: fault-injection campaign smoke (faults label) =="
 # Seeded fault campaign (DESIGN.md §7.4): every injected fault must

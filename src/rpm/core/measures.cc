@@ -226,28 +226,36 @@ GateOutcome ComputeGateAndIntervals(const TimestampList& ts,
   return outcome;
 }
 
-// --- Columnar (SIMD) hot-path overloads ------------------------------------
+// --- Columnar hot-path overloads -------------------------------------------
 
 namespace {
 
-/// Crossover below which the scalar loops win: the mask pass streams the
-/// list once and the bit-walk touches it again, so the fixed cost (mask
-/// memset, dispatch, resize) only amortizes once the compare stream
-/// dominates. BM_MaskedGateAndIntervals vs BM_FusedGateAndIntervals puts
-/// the break-dense break-even near 256 gaps (sparse lists win earlier);
-/// 128 keeps short conditional-level lists on the branch-predicted scalar
-/// loop. Correctness is identical either side.
-constexpr size_t kMaskedScanMinGaps = 128;
-
-/// Gaps the dispatched kernel evaluates at full vector width for a list
-/// with `gaps` gaps (the rest run in its scalar tail). Zero when the
-/// active level is scalar — this feeds the lane-utilization counter, and
-/// a scalar "vector" of one lane utilizes nothing.
-size_t VectorizedGapCount(size_t gaps) {
-  const size_t lanes =
-      static_cast<size_t>(SimdGapLanes(ActiveSimdLevel()));
-  return lanes <= 1 ? 0 : gaps / lanes * lanes;
+/// Break bits of the `count` (1..64) gaps that start at block[0]. A gap is
+/// never larger than the span of a run of gaps containing it, so a block
+/// whose span is within the period has no break: on the break-sparse
+/// lists mining produces, that one compare settles most words. Otherwise
+/// each compare's 0/1 is shifted into place without a branch, so
+/// break-dense blocks cost no mispredictions. Called with count == 64
+/// for full words, letting the compiler unroll the loop.
+inline uint64_t BreakWord(const Timestamp* block, size_t count,
+                          uint64_t period) {
+  if (TimestampGap(block[0], block[count]) <= period) return 0;
+  uint64_t word = 0;
+  for (size_t b = 0; b < count; ++b) {
+    word |= uint64_t{TimestampGap(block[b], block[b + 1]) > period} << b;
+  }
+  return word;
 }
+
+/// Crossover below which the fused scalar loop runs instead: the mask
+/// pass and the bit-walk each touch the list, so their fixed cost (mask
+/// resize, a second pass) only pays on long lists. On the break-dense
+/// input of BM_MaskedGateAndIntervals (a break every fifth gap, so no
+/// word is settled by its span) the masked scan roughly matches
+/// BM_FusedGateAndIntervals from 512 to 4 Ki gaps and is ~1.8x faster
+/// from 32 Ki; break-sparse lists skip most words. Correctness is
+/// identical either side.
+constexpr size_t kMaskedScanMinGaps = 128;
 
 /// Invokes fn(g) for every break gap g (set bit) in ascending order.
 template <typename Fn>
@@ -266,14 +274,12 @@ void ForEachBreak(const uint64_t* masks, size_t words, Fn&& fn) {
 const uint64_t* ScanBreakMasks(const TimestampList& ts, Timestamp period,
                                TsBlockScratch* scratch,
                                GateCounters* counters) {
-  const size_t gaps = ts.size() - 1;
   scratch->break_masks.resize(TsBlockWords(ts.size()));
   ComputeBreakMasks(ts.data(), ts.size(), static_cast<uint64_t>(period),
                     scratch->break_masks.data());
   if (counters != nullptr) {
     ++counters->lists_scanned;
-    counters->gaps_scanned += gaps;
-    counters->gaps_simd += VectorizedGapCount(gaps);
+    counters->gaps_scanned += ts.size() - 1;
   }
   return scratch->break_masks.data();
 }
@@ -306,6 +312,18 @@ void TolerantIntervalsFromMasks(const TimestampList& ts,
 
 }  // namespace
 
+void ComputeBreakMasks(const Timestamp* ts, size_t n, uint64_t period,
+                       uint64_t* masks) {
+  const size_t gaps = n < 2 ? 0 : n - 1;
+  const size_t full_words = gaps / 64;
+  for (size_t w = 0; w < full_words; ++w) {
+    masks[w] = BreakWord(ts + 64 * w, 64, period);
+  }
+  if (gaps % 64 != 0) {
+    masks[full_words] = BreakWord(ts + 64 * full_words, gaps % 64, period);
+  }
+}
+
 GateOutcome ComputeGateAndIntervals(const TimestampList& ts,
                                     const RpParams& params,
                                     std::vector<PeriodicInterval>* intervals,
@@ -313,18 +331,26 @@ GateOutcome ComputeGateAndIntervals(const TimestampList& ts,
                                     GateCounters* counters) {
   const size_t n = ts.size();
   const size_t gaps = n < 2 ? 0 : n - 1;
-  if (scratch == nullptr || gaps < kMaskedScanMinGaps) {
-    // Short list (or no scratch): the scalar fused scan. Still account
-    // the volume so the counters describe every gate evaluation.
-    if (counters != nullptr && n != 0 &&
-        (params.max_gap_violations == 0 ||
-         ComputeTolerantRecurrenceBound(n, params.min_ps) >= params.min_rec)) {
-      ++counters->lists_scanned;
-      counters->gaps_scanned += gaps;
-    }
-    return ComputeGateAndIntervals(ts, params, intervals);
+  if (scratch != nullptr && gaps >= kMaskedScanMinGaps) {
+    return ComputeGateAndIntervalsMasked(ts, params, intervals, scratch,
+                                         counters);
   }
+  // Short list (or no scratch): the scalar fused scan. Still account the
+  // volume so the counters describe every gate evaluation.
+  if (counters != nullptr && n != 0 &&
+      (params.max_gap_violations == 0 ||
+       ComputeTolerantRecurrenceBound(n, params.min_ps) >= params.min_rec)) {
+    ++counters->lists_scanned;
+    counters->gaps_scanned += gaps;
+  }
+  return ComputeGateAndIntervals(ts, params, intervals);
+}
 
+GateOutcome ComputeGateAndIntervalsMasked(
+    const TimestampList& ts, const RpParams& params,
+    std::vector<PeriodicInterval>* intervals, TsBlockScratch* scratch,
+    GateCounters* counters) {
+  const size_t n = ts.size();
   GateOutcome outcome;
   intervals->clear();
 
@@ -348,6 +374,7 @@ GateOutcome ComputeGateAndIntervals(const TimestampList& ts,
   // periodic support is the index span, exactly the scalar counter.
   RPM_DCHECK(params.period > 0);
   RPM_DCHECK(params.min_ps >= 1);
+  if (n == 0) return outcome;
   const uint64_t* masks = ScanBreakMasks(ts, params.period, scratch, counters);
   uint64_t erec = 0;
   size_t run_start = 0;
@@ -373,20 +400,32 @@ uint64_t ComputeRecurrenceUpperBound(const TimestampList& ts,
                                      TsBlockScratch* scratch,
                                      GateCounters* counters) {
   if (params.max_gap_violations > 0) {
-    // O(1): no scan happens, so nothing to vectorize or count.
+    // O(1): no scan happens, so nothing to count.
     return ComputeTolerantRecurrenceBound(ts.size(), params.min_ps);
   }
   const size_t n = ts.size();
   const size_t gaps = n < 2 ? 0 : n - 1;
-  if (scratch == nullptr || gaps < kMaskedScanMinGaps) {
-    if (counters != nullptr && n != 0) {
-      ++counters->lists_scanned;
-      counters->gaps_scanned += gaps;
-    }
-    return ComputeErec(ts, params.period, params.min_ps);
+  if (scratch != nullptr && gaps >= kMaskedScanMinGaps) {
+    return ComputeRecurrenceUpperBoundMasked(ts, params, scratch, counters);
+  }
+  if (counters != nullptr && n != 0) {
+    ++counters->lists_scanned;
+    counters->gaps_scanned += gaps;
+  }
+  return ComputeErec(ts, params.period, params.min_ps);
+}
+
+uint64_t ComputeRecurrenceUpperBoundMasked(const TimestampList& ts,
+                                           const RpParams& params,
+                                           TsBlockScratch* scratch,
+                                           GateCounters* counters) {
+  const size_t n = ts.size();
+  if (params.max_gap_violations > 0) {
+    return ComputeTolerantRecurrenceBound(n, params.min_ps);
   }
   RPM_DCHECK(params.period > 0);
   RPM_DCHECK(params.min_ps >= 1);
+  if (n == 0) return 0;
   const uint64_t* masks = ScanBreakMasks(ts, params.period, scratch, counters);
   uint64_t erec = 0;
   size_t run_start = 0;

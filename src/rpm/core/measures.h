@@ -10,12 +10,12 @@
 #ifndef RPM_CORE_MEASURES_H_
 #define RPM_CORE_MEASURES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "rpm/core/mining_params.h"
 #include "rpm/core/pattern.h"
-#include "rpm/core/ts_block.h"
 #include "rpm/timeseries/types.h"
 
 namespace rpm {
@@ -118,16 +118,55 @@ GateOutcome ComputeGateAndIntervals(const TimestampList& ts,
                                     const RpParams& params,
                                     std::vector<PeriodicInterval>* intervals);
 
-// --- Columnar (SIMD) hot-path overloads ------------------------------------
+// --- Columnar hot-path overloads -------------------------------------------
 //
-// Identical results to the scratch-free entry points — the miners route
-// through these so long ts-lists use the core/ts_block.h break-mask
-// kernels (one vectorized compare pass, then a bit-walk that rebuilds the
-// exact run segmentation). Lists below the crossover length stay on the
-// scalar loops; either way the outcome is bit-identical, so callers never
-// need to know which path ran. `scratch` is the reusable mask buffer (one
-// per worker); `counters`, when non-null, accumulates scan volume for the
-// stats plumbing. Passing scratch == nullptr degrades to the scalar path.
+// Every measure above reduces to one question per consecutive timestamp
+// pair: is u64(ts[g+1]) - u64(ts[g]) <= period? (core/time_gap.h explains
+// why that unsigned subtraction is exact for ordered int64 pairs.) For
+// long ts-lists the miners split the scan into two passes: a pass with no
+// run bookkeeping that writes one break bit per gap into 64-gap mask
+// words, then a walk over the set bits (countr_zero) that rebuilds the
+// exact run segmentation. Both passes evaluate the same comparison as the
+// scalar loops, so the outcome is bit-identical and callers never need to
+// know which path ran. Lists below the crossover length stay on the fused
+// scalar loop. `scratch` is the reusable mask buffer (one per worker);
+// `counters`, when non-null, accumulates scan volume for the stats
+// plumbing. Passing scratch == nullptr degrades to the scalar path.
+
+/// Mask words needed for a list of `n` timestamps (n - 1 gaps, 64 per
+/// word).
+inline constexpr size_t TsBlockWords(size_t n) {
+  return n < 2 ? 0 : (n - 1 + 63) / 64;
+}
+
+/// Fills masks[0 .. TsBlockWords(n)) for the sorted list ts[0..n): bit
+/// (g % 64) of masks[g / 64] is set iff u64(ts[g+1]) - u64(ts[g]) >
+/// period. Bits past the last gap are zero. Requires ts sorted ascending
+/// (duplicates allowed: a zero delta is never a break since period >= 1);
+/// a word whose span ts[64w+64] - ts[64w] is within the period is known
+/// to be zero without a per-gap compare.
+void ComputeBreakMasks(const Timestamp* ts, size_t n, uint64_t period,
+                       uint64_t* masks);
+
+/// Reusable per-miner buffer for the break-mask column. Grow-only, like
+/// the other miner scratch slabs; one per worker, never shared across
+/// concurrent scans.
+struct TsBlockScratch {
+  std::vector<uint64_t> break_masks;
+
+  /// Bytes retained (feeds scratch_bytes accounting).
+  size_t ByteFootprint() const {
+    return break_masks.capacity() * sizeof(uint64_t);
+  }
+};
+
+/// Gate-scan volume, aggregated into RpGrowthStats by the miners. Both
+/// counters are schedule-invariant: they depend only on which ts-lists
+/// get scanned, which is identical across sequential and parallel runs.
+struct GateCounters {
+  size_t lists_scanned = 0;  ///< Gate / interval scans performed.
+  size_t gaps_scanned = 0;   ///< Total timestamp gaps evaluated.
+};
 
 /// Scratch-backed fused gate + Algorithm-5 scan.
 GateOutcome ComputeGateAndIntervals(const TimestampList& ts,
@@ -142,6 +181,19 @@ uint64_t ComputeRecurrenceUpperBound(const TimestampList& ts,
                                      const RpParams& params,
                                      TsBlockScratch* scratch,
                                      GateCounters* counters);
+
+/// The break-mask walk the two overloads above take from
+/// kMaskedScanMinGaps (128) gaps up, for a list of any length. Same
+/// results; `scratch` must be non-null. Harness check (e) and the tests
+/// call these directly so short lists exercise the walk too.
+GateOutcome ComputeGateAndIntervalsMasked(
+    const TimestampList& ts, const RpParams& params,
+    std::vector<PeriodicInterval>* intervals, TsBlockScratch* scratch,
+    GateCounters* counters);
+uint64_t ComputeRecurrenceUpperBoundMasked(const TimestampList& ts,
+                                           const RpParams& params,
+                                           TsBlockScratch* scratch,
+                                           GateCounters* counters);
 
 }  // namespace rpm
 

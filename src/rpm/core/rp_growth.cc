@@ -94,7 +94,7 @@ class MinerScratch {
   /// mask column. Scratch capacities only grow during a run, so sampling
   /// after mining yields the run's peak.
   size_t ByteFootprint() const {
-    size_t bytes = merge.ByteFootprint() + ts_block.ByteFootprint();
+    size_t bytes = merge.ByteFootprint() + gate_masks.ByteFootprint();
     for (const std::unique_ptr<Frame>& frame : frames_) {
       bytes += frame->ByteFootprint();
     }
@@ -103,8 +103,8 @@ class MinerScratch {
 
   MergeScratch merge;
   MergeCounters counters;
-  TsBlockScratch ts_block;  ///< Break-mask column (core/ts_block.h).
-  GateCounters gate;        ///< Gate-scan volume accumulated here.
+  TsBlockScratch gate_masks;  ///< Break-mask column (core/measures.h).
+  GateCounters gate;          ///< Gate-scan volume accumulated here.
 
  private:
   std::vector<std::unique_ptr<Frame>> frames_;
@@ -212,7 +212,7 @@ class Miner {
       return sorted_ts.size() >= params_.min_ps * params_.min_rec;
     }
     return ComputeRecurrenceUpperBound(sorted_ts, params_,
-                                       &scratch_->ts_block,
+                                       &scratch_->gate_masks,
                                        &scratch_->gate) >= params_.min_rec;
   }
 
@@ -267,7 +267,7 @@ class Miner {
     } else {
       gate_passed = ComputeGateAndIntervals(ts_beta, params_,
                                             &frame.intervals,
-                                            &scratch_->ts_block,
+                                            &scratch_->gate_masks,
                                             &scratch_->gate)
                         .passes;
     }
@@ -420,7 +420,6 @@ void FoldScratchStats(const MinerScratch& scratch, RpGrowthStats* stats) {
   stats->timestamps_merged += scratch.counters.timestamps_merged;
   stats->gate_lists_scanned += scratch.gate.lists_scanned;
   stats->gate_gaps_scanned += scratch.gate.gaps_scanned;
-  stats->gate_gaps_simd += scratch.gate.gaps_simd;
   const size_t bytes = scratch.ByteFootprint();
   stats->scratch_bytes_total += bytes;
   stats->scratch_bytes_peak = std::max(stats->scratch_bytes_peak, bytes);

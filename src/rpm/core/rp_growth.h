@@ -89,14 +89,11 @@ struct RpGrowthStats {
   size_t merge_invocations = 0;     ///< Run-merge kernel calls.
   size_t runs_merged = 0;           ///< Sorted runs consumed by the kernel.
   size_t timestamps_merged = 0;     ///< Timestamps written by the kernel.
-  // Gate-scan (columnar kernel, core/ts_block.h) counters. Also
+  // Gate-scan counters (GateCounters, core/measures.h). Also
   // schedule-invariant: which ts-lists get gate-scanned depends only on
-  // the data and params, never on the worker schedule. gaps_simd /
-  // gaps_scanned is the SIMD lane utilization of the mining run (0 under
-  // RPM_FORCE_SCALAR or off x86).
+  // the data and params, never on the worker schedule.
   size_t gate_lists_scanned = 0;    ///< Gate / interval scans performed.
   size_t gate_gaps_scanned = 0;     ///< Timestamp gaps evaluated in scans.
-  size_t gate_gaps_simd = 0;        ///< Gaps evaluated at full vector width.
   /// Peak bytes retained by the miner scratch pools (frames, run
   /// descriptors, merge and mask buffers). Sequential: the single pool's
   /// high-water mark; parallel: the largest per-worker pool.

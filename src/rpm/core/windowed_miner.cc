@@ -361,7 +361,6 @@ void WindowedMiner::FoldMiningStats(const RpGrowthStats& s) {
   mining_stats_.timestamps_merged += s.timestamps_merged;
   mining_stats_.gate_lists_scanned += s.gate_lists_scanned;
   mining_stats_.gate_gaps_scanned += s.gate_gaps_scanned;
-  mining_stats_.gate_gaps_simd += s.gate_gaps_simd;
   mining_stats_.scratch_bytes_peak =
       std::max(mining_stats_.scratch_bytes_peak, s.scratch_bytes_peak);
   mining_stats_.scratch_bytes_total =

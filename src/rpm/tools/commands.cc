@@ -15,7 +15,6 @@
 #include "rpm/baselines/pf_growth.h"
 #include "rpm/baselines/ppattern.h"
 #include "rpm/common/civil_time.h"
-#include "rpm/common/cpu_features.h"
 #include "rpm/common/flags.h"
 #include "rpm/engine/session.h"
 #include "rpm/gen/paper_datasets.h"
@@ -109,15 +108,8 @@ void PrintMineSummary(const Query& query, const QueryResult& result,
       << result.stats.timestamps_merged << " ts, scratch peak "
       << result.stats.scratch_bytes_peak << " B / total "
       << result.stats.scratch_bytes_total << " B]";
-  err << " [gate " << SimdLevelName(ActiveSimdLevel()) << " "
-      << result.stats.gate_lists_scanned << " lists / "
-      << result.stats.gate_gaps_scanned << " gaps";
-  if (result.stats.gate_gaps_scanned > 0) {
-    err << ", " << (100 * result.stats.gate_gaps_simd /
-                    result.stats.gate_gaps_scanned)
-        << "% simd";
-  }
-  err << "]";
+  err << " [gate scan " << result.stats.gate_lists_scanned << " lists / "
+      << result.stats.gate_gaps_scanned << " gaps]";
   if (result.stats.tree_build_threads > 1) {
     err << " [tree build " << result.stats.tree_build_threads << " threads, "
         << result.stats.tree_partials_merged << " partials folded in "

@@ -6,11 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "rpm/common/cpu_features.h"
 #include "rpm/core/brute_force.h"
 #include "rpm/core/measures.h"
 #include "rpm/core/time_gap.h"
-#include "rpm/core/ts_block.h"
 #include "rpm/core/rp_growth.h"
 #include "rpm/core/rp_list.h"
 #include "rpm/core/windowed_miner.h"
@@ -153,31 +151,25 @@ void CompareInvariantStats(const RpGrowthStats& got,
               want.gate_lists_scanned, out, got_name, want_name);
   CompareStat("gate_gaps_scanned", got.gate_gaps_scanned,
               want.gate_gaps_scanned, out, got_name, want_name);
-  CompareStat("gate_gaps_simd", got.gate_gaps_simd, want.gate_gaps_simd,
-              out, got_name, want_name);
 }
 
-/// Check (e): the columnar kernels against the scalar measures, per item.
-/// Uses each item's full ts-list (the longest lists a case offers — the
-/// case generator's adversarial cases put INT64-extreme timestamps and
-/// run-boundary shapes here), comparing (i) the dispatched masked fused
-/// gate and Erec bound against the scalar loops and (ii) every compiled
-/// ComputeBreakMasks variant the hardware admits against the scalar
-/// kernel, bit for bit.
-void CheckSimd(const TransactionDatabase& db, const RpParams& params,
-               Collector* out) {
+/// Check (e): the break-mask walk against the fused scalar loops, per
+/// item. Uses each item's full ts-list (the case generator's adversarial
+/// cases put INT64-extreme timestamps and run-boundary shapes here) and
+/// calls the walk directly, since case lists are shorter than the
+/// miners' crossover; compares the gate verdict, the interesting
+/// intervals and the recurrence upper bound.
+void CheckMaskedGate(const TransactionDatabase& db, const RpParams& params,
+                     Collector* out) {
   TsBlockScratch scratch;
   std::vector<PeriodicInterval> masked_intervals;
   std::vector<PeriodicInterval> scalar_intervals;
-  std::vector<uint64_t> want_masks;
-  std::vector<uint64_t> got_masks;
-  const SimdLevel hw = HardwareSimdLevel();
   for (ItemId item = 0; item < db.ItemUniverseSize(); ++item) {
     const TimestampList ts = db.TimestampsOf({item});
     if (ts.empty()) continue;
     const std::string tag = "item " + std::to_string(item);
 
-    const GateOutcome masked = ComputeGateAndIntervals(
+    const GateOutcome masked = ComputeGateAndIntervalsMasked(
         ts, params, &masked_intervals, &scratch, nullptr);
     const GateOutcome scalar =
         ComputeGateAndIntervals(ts, params, &scalar_intervals);
@@ -194,35 +186,11 @@ void CheckSimd(const TransactionDatabase& db, const RpParams& params,
                " (scalar)");
     }
     const uint64_t masked_bound =
-        ComputeRecurrenceUpperBound(ts, params, &scratch, nullptr);
+        ComputeRecurrenceUpperBoundMasked(ts, params, &scratch, nullptr);
     const uint64_t scalar_bound = ComputeRecurrenceUpperBound(ts, params);
     if (masked_bound != scalar_bound) {
       out->Add(tag + ": recurrence bound " + std::to_string(masked_bound) +
                " (masked) vs " + std::to_string(scalar_bound) + " (scalar)");
-    }
-
-    if (ts.size() < 2) continue;
-    want_masks.assign(TsBlockWords(ts.size()), ~uint64_t{0});
-    ComputeBreakMasksScalar(ts.data(), ts.size(),
-                            static_cast<uint64_t>(params.period),
-                            want_masks.data());
-    const struct {
-      const char* name;
-      SimdLevel level;
-      void (*fn)(const Timestamp*, size_t, uint64_t, uint64_t*);
-    } variants[] = {
-        {"sse2", SimdLevel::kSse2, ComputeBreakMasksSse2},
-        {"avx2", SimdLevel::kAvx2, ComputeBreakMasksAvx2},
-    };
-    for (const auto& variant : variants) {
-      if (hw < variant.level) continue;
-      got_masks.assign(want_masks.size(), ~uint64_t{0});
-      variant.fn(ts.data(), ts.size(), static_cast<uint64_t>(params.period),
-                 got_masks.data());
-      if (got_masks != want_masks) {
-        out->Add(tag + ": break masks diverge between scalar and " +
-                 variant.name + " kernels");
-      }
     }
   }
 }
@@ -488,9 +456,10 @@ std::vector<Divergence> CrossCheckCase(const TransactionDatabase& db,
     CheckEngine(db, params, seq, options, &out);
   }
 
-  if (options.check_simd) {
-    Collector out("simd", options.max_divergences_per_check, &divergences);
-    CheckSimd(db, params, &out);
+  {
+    Collector out("masked-gate", options.max_divergences_per_check,
+                  &divergences);
+    CheckMaskedGate(db, params, &out);
   }
 
   // The windowed list and miner implement the exact model only.

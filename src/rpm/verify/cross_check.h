@@ -23,12 +23,12 @@
 //                     loose->strict tree reuse vs a fresh stricter run —
 //                     reused results must be bit-identical and reuse must
 //                     actually trigger.
-//   (e) simd        — the columnar gate kernels (core/ts_block.h) vs the
-//                     scalar measures on every item's ts-list: the
-//                     dispatched masked ComputeGateAndIntervals /
-//                     ComputeRecurrenceUpperBound against the scalar
-//                     loops, and every compiled ComputeBreakMasks variant
-//                     the hardware admits against the scalar kernel.
+//   (e) masked-gate — the break-mask walk (core/measures.h) vs the fused
+//                     scalar loops on every item's ts-list, whatever its
+//                     length: ComputeGateAndIntervalsMasked /
+//                     ComputeRecurrenceUpperBoundMasked gate verdict,
+//                     interesting intervals and recurrence upper bound.
+//                     Always runs.
 //   (f) windowed    — the incremental sliding-window miner
 //                     (core/windowed_miner.h) replaying the case in
 //                     deltas: after EVERY delta, the committed pattern
@@ -62,7 +62,7 @@ namespace rpm::verify {
 /// One observed disagreement between two implementations.
 struct Divergence {
   /// Which cross-check noticed it: "oracle", "parallel", "engine",
-  /// "simd", "windowed-list" or "windowed".
+  /// "masked-gate", "windowed-list" or "windowed".
   std::string check;
   /// Human-readable description, e.g.
   ///   "pattern {0 2}: support 5 (rp-growth) vs 6 (oracle)".
@@ -77,7 +77,6 @@ struct CrossCheckOptions {
   bool check_oracle = true;
   bool check_parallel = true;
   bool check_engine = true;
-  bool check_simd = true;
   /// Checks (c) and (f).
   bool check_windowed = true;
   /// Worker threads for the parallel run of check (b).

@@ -5,9 +5,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rpm/core/rp_growth.h"
 #include "rpm/timeseries/io/spmf_io.h"
 #include "rpm/tools/commands.h"
 #include "test_util.h"
@@ -97,6 +100,54 @@ TEST(CliTest, MinePaperExampleFindsTable2) {
   EXPECT_NE(err.find("8 recurring patterns"), std::string::npos);
   EXPECT_NE(out.find("{a, b}"), std::string::npos);
   EXPECT_NE(out.find("{e, f}"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(CliTest, MineGateSummaryParsesAndMatchesRunCounters) {
+  // Long ts-lists (>= 128 gaps) so the break-mask walk runs, next to
+  // short ones that stay on the fused loop.
+  std::vector<std::pair<Timestamp, Itemset>> rows;
+  for (Timestamp t = 1; t <= 300; ++t) {
+    Itemset items;
+    if (t % 40 > 1) items.push_back(0);
+    if (t % 5 != 0 && (t < 100 || t > 110)) items.push_back(1);
+    if (t % 4 == 0) items.push_back(2);
+    if (t < 20) items.push_back(3);
+    rows.emplace_back(t, items);
+  }
+  ItemDictionary dict;
+  for (const char* name : {"a", "b", "c", "d"}) dict.GetOrAdd(name);
+  const std::string path =
+      ::testing::TempDir() + "/rpminer_cli_gate_summary.tspmf";
+  ASSERT_TRUE(
+      WriteTimestampedSpmfFile(MakeDatabase(rows, dict), path).ok());
+
+  std::string out, err;
+  ASSERT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--per=2",
+                    "--min-ps=5", "--min-rec=2"},
+                   &out, &err),
+            0)
+      << err;
+  // The exact format the end-to-end benchmark scans the summary with:
+  // one word after "[gate ", then the two counters.
+  const size_t gate = err.find("[gate ");
+  ASSERT_NE(gate, std::string::npos) << err;
+  unsigned long long lists = 0, gaps = 0;
+  ASSERT_EQ(std::sscanf(err.c_str() + gate,
+                        "[gate %*s %llu lists / %llu gaps", &lists, &gaps),
+            2)
+      << err;
+
+  Result<TransactionDatabase> db = ReadTimestampedSpmfFile(path);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  RpParams params;
+  params.period = 2;
+  params.min_ps = 5;
+  params.min_rec = 2;
+  const RpGrowthResult run = MineRecurringPatterns(*db, params);
+  EXPECT_EQ(lists, run.stats.gate_lists_scanned);
+  EXPECT_EQ(gaps, run.stats.gate_gaps_scanned);
+  EXPECT_GT(gaps, 128u);
   std::remove(path.c_str());
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "rpm/common/random.h"
+#include "rpm/core/time_gap.h"
 #include "test_util.h"
 
 namespace rpm {
@@ -391,6 +395,229 @@ TEST(OverflowSafetyTest, TolerantModeAbsorbsStraddlingGap) {
                                        /*max_violations=*/1);
   ASSERT_EQ(tolerant.size(), 1u);
   EXPECT_EQ(tolerant[0], (PeriodicInterval{kTsMin, kTsMax, 4}));
+}
+
+// The columnar gate: the break-mask kernel against a reference built from
+// the scalar gap helper, and the masked ComputeGateAndIntervals /
+// ComputeRecurrenceUpperBound overloads against the fused scalar loops on
+// randomized and adversarial inputs.
+
+/// Sorted ascending list of `n` timestamps with gaps drawn around
+/// `period` so break bits are a real mix (not all-zero / all-one).
+/// Duplicates allowed when `dupes` is set (a zero gap is never a break).
+TimestampList RandomSortedList(Rng* rng, size_t n, uint64_t period,
+                               bool dupes) {
+  TimestampList ts;
+  ts.reserve(n);
+  Timestamp cur = static_cast<Timestamp>(rng->NextInt64(-1000000, 1000000));
+  for (size_t i = 0; i < n; ++i) {
+    ts.push_back(cur);
+    uint64_t gap = rng->NextUint64(2 * period + 2);
+    if (!dupes && gap == 0) gap = 1;
+    cur = static_cast<Timestamp>(static_cast<uint64_t>(cur) + gap);
+  }
+  return ts;
+}
+
+/// Runs ComputeBreakMasks into a poisoned buffer (so unwritten words and
+/// stale trailing bits get caught) and compares it bit for bit with a
+/// reference built straight from the scalar gap helper.
+void ExpectMasksMatchReference(const TimestampList& ts, uint64_t period) {
+  ASSERT_GE(ts.size(), 2u);
+  std::vector<uint64_t> want(TsBlockWords(ts.size()), 0);
+  for (size_t g = 0; g + 1 < ts.size(); ++g) {
+    if (TimestampGap(ts[g], ts[g + 1]) > period) {
+      want[g >> 6] |= uint64_t{1} << (g & 63);
+    }
+  }
+  std::vector<uint64_t> got(want.size(), ~uint64_t{0});
+  ComputeBreakMasks(ts.data(), ts.size(), period, got.data());
+  EXPECT_EQ(got, want) << "n=" << ts.size() << " period=" << period;
+}
+
+TEST(TsBlockTest, WordArithmetic) {
+  EXPECT_EQ(TsBlockWords(0), 0u);
+  EXPECT_EQ(TsBlockWords(1), 0u);
+  EXPECT_EQ(TsBlockWords(2), 1u);
+  EXPECT_EQ(TsBlockWords(65), 1u);   // 64 gaps.
+  EXPECT_EQ(TsBlockWords(66), 2u);   // 65 gaps.
+  EXPECT_EQ(TsBlockWords(129), 2u);  // 128 gaps.
+  EXPECT_EQ(TsBlockWords(130), 3u);
+}
+
+TEST(TsBlockTest, BreakMasksMatchScalarOnRandomLists) {
+  Rng rng(20260808);
+  // Lengths straddle the mask-word edges (63/64/65 gaps and multiples).
+  const size_t lengths[] = {2,  3,  4,  5,  7,  8,   9,   31,  32, 33,
+                            63, 64, 65, 66, 96, 127, 128, 129, 257};
+  const uint64_t periods[] = {1, 2, 3, 7, 100};
+  for (size_t n : lengths) {
+    for (uint64_t period : periods) {
+      for (bool dupes : {false, true}) {
+        ExpectMasksMatchReference(RandomSortedList(&rng, n, period, dupes),
+                                  period);
+      }
+    }
+    // Gaps drawn from [1, 8) against period 256: a 64-gap word spans
+    // about 256, so some words are settled by their span and some not.
+    ExpectMasksMatchReference(RandomSortedList(&rng, n, 3, false), 256);
+  }
+}
+
+TEST(TsBlockTest, BreakMasksAdversarialExtremes) {
+  // Timestamps straddling most of the int64 range: the gaps overflow
+  // int64 and must still compare correctly as u64.
+  const TimestampList straddle = {kTsMin,     kTsMin + 1, -2,     0, 1,
+                                  kTsMax - 3, kTsMax - 1, kTsMax};
+  for (uint64_t period :
+       {uint64_t{1}, uint64_t{1000}, static_cast<uint64_t>(kTsMax)}) {
+    ExpectMasksMatchReference(straddle, period);
+  }
+  std::vector<uint64_t> masks(TsBlockWords(straddle.size()), ~uint64_t{0});
+  ComputeBreakMasks(straddle.data(), straddle.size(), 1000, masks.data());
+  // Gaps 1, huge, 2, 1, huge, 2, 1: breaks at gaps 1 and 4 only.
+  EXPECT_EQ(masks[0], (uint64_t{1} << 1) | (uint64_t{1} << 4));
+  // All gaps equal the period exactly: <= is not <, so no breaks.
+  TimestampList exact;
+  for (int i = 0; i < 130; ++i) exact.push_back(static_cast<Timestamp>(7 * i));
+  ExpectMasksMatchReference(exact, 7);
+  masks.assign(TsBlockWords(exact.size()), ~uint64_t{0});
+  ComputeBreakMasks(exact.data(), exact.size(), 7, masks.data());
+  for (uint64_t word : masks) EXPECT_EQ(word, 0u);
+  // Gaps of period + 1 everywhere: every gap breaks, and the bits past
+  // the last gap must still be zero.
+  TimestampList broken;
+  for (int i = 0; i < 100; ++i) broken.push_back(static_cast<Timestamp>(8 * i));
+  ComputeBreakMasks(broken.data(), broken.size(), 7, masks.data());
+  ASSERT_EQ(TsBlockWords(broken.size()), 2u);
+  EXPECT_EQ(masks[0], ~uint64_t{0});
+  EXPECT_EQ(masks[1], (uint64_t{1} << 35) - 1);  // 99 gaps: bits 64..98.
+  // Unit gaps with one gap of 71 at index 149. At period 64 a full word of
+  // unit gaps spans exactly the period (settled as zero by its span); the
+  // over-period gap makes word 2's span exceed it. At period 63 every
+  // word takes the per-gap compares. Both give the same column.
+  TimestampList tight;
+  for (int i = 0; i < 200; ++i) {
+    tight.push_back(static_cast<Timestamp>(i < 150 ? i : i + 70));
+  }
+  for (uint64_t period : {uint64_t{63}, uint64_t{64}}) {
+    ExpectMasksMatchReference(tight, period);
+    masks.assign(TsBlockWords(tight.size()), ~uint64_t{0});
+    ComputeBreakMasks(tight.data(), tight.size(), period, masks.data());
+    EXPECT_EQ(masks, (std::vector<uint64_t>{0, 0, uint64_t{1} << 21, 0}))
+        << "period=" << period;
+  }
+  // Duplicates around one gap of period + 1: word 0 spans exactly one
+  // past the period, so only the per-gap compares find the break.
+  TimestampList one_break(40, 0);
+  one_break.resize(80, 65);
+  ExpectMasksMatchReference(one_break, 64);
+  masks.assign(TsBlockWords(one_break.size()), ~uint64_t{0});
+  ComputeBreakMasks(one_break.data(), one_break.size(), 64, masks.data());
+  EXPECT_EQ(masks, (std::vector<uint64_t>{uint64_t{1} << 39, 0}));
+}
+
+/// The masked fused gate against the scalar one, exact and tolerant
+/// models, across the crossover threshold in both directions.
+TEST(TsBlockTest, MaskedGateMatchesScalarGate) {
+  Rng rng(424242);
+  TsBlockScratch scratch;
+  std::vector<PeriodicInterval> masked;
+  std::vector<PeriodicInterval> scalar;
+  for (size_t n : {0u, 1u, 2u, 16u, 31u, 32u, 33u, 64u, 65u, 127u, 300u}) {
+    for (uint64_t period : {uint64_t{1}, uint64_t{3}, uint64_t{9}}) {
+      for (uint32_t tolerance : {0u, 1u, 3u}) {
+        for (int rep = 0; rep < 8; ++rep) {
+          TimestampList ts = RandomSortedList(&rng, n, period, false);
+          RpParams params;
+          params.period = static_cast<Timestamp>(period);
+          params.min_ps = 1 + rng.NextUint64(4);
+          params.min_rec = 1 + rng.NextUint64(3);
+          params.max_gap_violations = tolerance;
+          const GateOutcome m =
+              ComputeGateAndIntervals(ts, params, &masked, &scratch, nullptr);
+          const GateOutcome s = ComputeGateAndIntervals(ts, params, &scalar);
+          EXPECT_EQ(m.passes, s.passes);
+          EXPECT_EQ(m.recurrence_upper_bound, s.recurrence_upper_bound);
+          EXPECT_EQ(masked, scalar)
+              << "n=" << n << " per=" << period << " tol=" << tolerance
+              << " minPS=" << params.min_ps << " minRec=" << params.min_rec;
+          EXPECT_EQ(ComputeRecurrenceUpperBound(ts, params, &scratch, nullptr),
+                    ComputeRecurrenceUpperBound(ts, params));
+          // The walk itself, below the crossover too.
+          const GateOutcome w = ComputeGateAndIntervalsMasked(
+              ts, params, &masked, &scratch, nullptr);
+          EXPECT_EQ(w.passes, s.passes);
+          EXPECT_EQ(w.recurrence_upper_bound, s.recurrence_upper_bound);
+          EXPECT_EQ(masked, scalar) << "walk, n=" << n;
+          EXPECT_EQ(
+              ComputeRecurrenceUpperBoundMasked(ts, params, &scratch, nullptr),
+              ComputeRecurrenceUpperBound(ts, params));
+        }
+      }
+    }
+  }
+}
+
+TEST(TsBlockTest, MaskedGateAdversarialExtremes) {
+  TsBlockScratch scratch;
+  std::vector<PeriodicInterval> masked;
+  std::vector<PeriodicInterval> scalar;
+  // Long straddling list: alternating tight runs and int64-overflowing
+  // gaps, crossing the masked-path threshold so the mask walk really runs.
+  TimestampList ts;
+  Timestamp cur = kTsMin;
+  for (int run = 0; run < 10; ++run) {
+    for (int i = 0; i < 7; ++i) {
+      ts.push_back(cur);
+      cur += 2;
+    }
+    // Jump across a twelfth of the u64 span (cannot be <= any valid period).
+    cur = static_cast<Timestamp>(static_cast<uint64_t>(cur) +
+                                 (~uint64_t{0} / 12));
+  }
+  for (uint64_t min_ps : {uint64_t{1}, uint64_t{7}, uint64_t{8}}) {
+    for (uint32_t tolerance : {0u, 2u}) {
+      RpParams params;
+      params.period = 2;
+      params.min_ps = min_ps;
+      params.min_rec = 1;
+      params.max_gap_violations = tolerance;
+      const GateOutcome m =
+          ComputeGateAndIntervals(ts, params, &masked, &scratch, nullptr);
+      const GateOutcome s = ComputeGateAndIntervals(ts, params, &scalar);
+      EXPECT_EQ(m.passes, s.passes);
+      EXPECT_EQ(m.recurrence_upper_bound, s.recurrence_upper_bound);
+      EXPECT_EQ(masked, scalar) << "minPS=" << min_ps << " tol=" << tolerance;
+    }
+  }
+}
+
+TEST(TsBlockTest, GateCountersAccountScans) {
+  TsBlockScratch scratch;
+  GateCounters counters;
+  std::vector<PeriodicInterval> intervals;
+  RpParams params;
+  params.period = 3;
+  params.min_ps = 2;
+  params.min_rec = 1;
+  Rng rng(5);
+  const TimestampList long_list = RandomSortedList(&rng, 201, 3, false);
+  ComputeGateAndIntervals(long_list, params, &intervals, &scratch, &counters);
+  EXPECT_EQ(counters.lists_scanned, 1u);
+  EXPECT_EQ(counters.gaps_scanned, 200u);
+  // Short lists fall back to the scalar loop but still count the volume.
+  const TimestampList short_list = RandomSortedList(&rng, 10, 3, false);
+  ComputeGateAndIntervals(short_list, params, &intervals, &scratch, &counters);
+  EXPECT_EQ(counters.lists_scanned, 2u);
+  EXPECT_EQ(counters.gaps_scanned, 209u);
+}
+
+TEST(TsBlockTest, ScratchFootprintTracksCapacity) {
+  TsBlockScratch scratch;
+  EXPECT_EQ(scratch.ByteFootprint(), 0u);
+  scratch.break_masks.resize(16);
+  EXPECT_GE(scratch.ByteFootprint(), 16 * sizeof(uint64_t));
 }
 
 }  // namespace

@@ -134,7 +134,6 @@ TEST(TreeBuildParallelTest, MiningEqualAcrossTreeBuildBackends) {
   EXPECT_EQ(a.stats.timestamps_merged, b.stats.timestamps_merged);
   EXPECT_EQ(a.stats.gate_lists_scanned, b.stats.gate_lists_scanned);
   EXPECT_EQ(a.stats.gate_gaps_scanned, b.stats.gate_gaps_scanned);
-  EXPECT_EQ(a.stats.gate_gaps_simd, b.stats.gate_gaps_simd);
   // And the build provenance must be visible on the folded stats.
   EXPECT_EQ(a.stats.tree_build_threads, 1u);
   EXPECT_GT(b.stats.tree_build_threads, 1u);
