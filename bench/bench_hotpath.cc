@@ -186,9 +186,6 @@ int main() {
       json.Add("avg_run_length", avg_run_len);
       json.Add("gate_lists_scanned", s.gate_lists_scanned);
       json.Add("gate_gaps_scanned", s.gate_gaps_scanned);
-      json.Add("tree_build_threads", s.tree_build_threads);
-      json.Add("tree_partials_merged", s.tree_partials_merged);
-      json.Add("tree_merge_seconds", s.tree_merge_seconds);
       if (baseline_mine > 0.0 && threads == 1) {
         json.Add("baseline_mine_seconds", baseline_mine);
         json.Add("speedup_vs_baseline",

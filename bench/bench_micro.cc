@@ -56,6 +56,27 @@ const TransactionDatabase& MidTwitterDb() {
   return db;
 }
 
+/// 3,840 minutes of a 50-tag burst stream: every minute carries a row,
+/// and planted 2-4 tag events recur across most of them.
+const TransactionDatabase& SmallDenseDb() {
+  static const TransactionDatabase db = [] {
+    gen::HashtagParams params;
+    params.num_minutes = 3840;
+    params.num_hashtags = 50;
+    params.background_rate = 1.0;
+    params.daily_dropout_base = 0.0;
+    params.daily_dropout_slope = 0.0;
+    params.num_random_events = 4;
+    params.min_event_tags = 2;
+    params.max_event_tags = 4;
+    params.min_event_minutes = 1440;
+    params.max_event_minutes = 2880;
+    params.event_fire_prob = 0.9;
+    return gen::GenerateHashtagStream(params).db;
+  }();
+  return db;
+}
+
 /// `k` sorted runs of `run_len` timestamps each, interleaved over a
 /// shared range — the merge kernel's adversarial shape (every run
 /// contends at every step).
@@ -197,31 +218,41 @@ void BM_RpListScan(benchmark::State& state) {
 }
 BENCHMARK(BM_RpListScan);
 
+/// One pass-2 build of `db` per iteration, through the same
+/// BuildRankedTree the miner runs, over the batch RP-list's candidates.
+void TreeBuildLoop(benchmark::State& state, const TransactionDatabase& db,
+                   const RpParams& params) {
+  PreparedMining prepared = PrepareMining(db, params);
+  for (auto _ : state) {
+    TsPrefixTree tree = BuildRankedTree(db, prepared.items_by_rank);
+    benchmark::DoNotOptimize(tree.NodeCount());
+  }
+  state.counters["nodes"] = static_cast<double>(prepared.initial_tree_nodes);
+  state.SetItemsProcessed(state.iterations() * db.size());
+}
+
+/// Sparse side: thousands of distinct transaction shapes, so wide sibling
+/// lists (the root holds one child per frequent item).
 void BM_TreeBuild(benchmark::State& state) {
-  const TransactionDatabase& db = MidQuestDb();
   RpParams params;
   params.period = 100;
   params.min_ps = 20;
   params.min_rec = 2;
-  RpList list = BuildRpList(db, params);
-  std::vector<ItemId> order;
-  for (const RpListEntry& e : list.candidates()) order.push_back(e.item);
-  for (auto _ : state) {
-    TsPrefixTree tree{std::vector<ItemId>(order)};
-    std::vector<uint32_t> ranks;
-    for (const Transaction& tr : db.transactions()) {
-      ranks.clear();
-      for (ItemId item : tr.items) {
-        uint32_t rank = list.RankOf(item);
-        if (rank != kNotCandidate) ranks.push_back(rank);
-      }
-      std::sort(ranks.begin(), ranks.end());
-      tree.InsertTransaction(ranks, tr.ts);
-    }
-    benchmark::DoNotOptimize(tree.NodeCount());
-  }
+  TreeBuildLoop(state, MidQuestDb(), params);
 }
 BENCHMARK(BM_TreeBuild);
+
+/// Dense side: a few thousand rows of a small burst-dominated tag universe
+/// (the shape of a windowed miner's per-delta sub-mine), so few, narrow
+/// sibling lists and long shared prefixes.
+void BM_TreeBuildDense(benchmark::State& state) {
+  RpParams params;
+  params.period = 60;
+  params.min_ps = 20;
+  params.min_rec = 1;
+  TreeBuildLoop(state, SmallDenseDb(), params);
+}
+BENCHMARK(BM_TreeBuildDense);
 
 void BM_RpGrowthEndToEnd_Quest(benchmark::State& state) {
   const TransactionDatabase& db = MidQuestDb();

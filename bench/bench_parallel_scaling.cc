@@ -1,19 +1,17 @@
 // Thread-scaling of parallel RP-growth on the Table-7 datasets: mines one
 // mining-heavy Table-4 cell per dataset at 1/2/4/8 worker threads and
 // reports wall seconds, per-phase split, and speedup vs the sequential
-// run — now including the partitioned RP-tree build (tree_s plus the
-// fold's partial/merge stats). Emits BENCH_parallel_scaling.json (see
-// bench_util.h JsonRecords; the document header carries
-// hardware_concurrency so readers can tell real scaling from a saturated
-// host) next to the console table.
+// run (tree_s is the sequential RP-tree build at every thread count).
+// Emits BENCH_parallel_scaling.json (see bench_util.h JsonRecords; the
+// document header carries hardware_concurrency so readers can tell real
+// scaling from a saturated host) next to the console table.
 //
 // Expected shape: patterns_emitted is bit-identical across thread counts
 // (the bench aborts if not); mine-phase wall time falls with threads up to
-// the hardware's parallelism, and tree construction now partitions as
-// well (its Amdahl share shrinks to the partial-trie fold, which stays
-// sequential). On a single-core container every thread count costs the
-// same — the speedup column then just documents that the parallel path
-// adds no overhead.
+// the hardware's parallelism, while the list scan and tree build stay
+// sequential (their Amdahl share). On a single-core container every
+// thread count costs the same — the speedup column then just documents
+// that the parallel path adds no overhead.
 
 #include <cstdio>
 #include <thread>
@@ -62,9 +60,9 @@ int main() {
   int mismatches = 0;
   std::printf("hardware_concurrency=%u\n\n",
               std::thread::hardware_concurrency());
-  std::printf("%-12s %-8s %8s %10s %10s %10s %10s %9s %10s %6s %8s\n",
-              "dataset", "threads", "patterns", "wall_s", "tree_s", "mine_s",
-              "cpu_s", "speedup", "mine_spdup", "build", "merge_ms");
+  std::printf("%-12s %-8s %8s %10s %10s %10s %10s %9s %10s\n", "dataset",
+              "threads", "patterns", "wall_s", "tree_s", "mine_s", "cpu_s",
+              "speedup", "mine_spdup");
   for (const Workload& w : workloads) {
     rpm::Result<rpm::RpParams> params = rpm::MakeParamsWithMinPsFraction(
         w.per, w.min_ps_frac, w.min_rec, w.db->size());
@@ -93,11 +91,10 @@ int main() {
       const double mine_speedup =
           s.mine_seconds > 0.0 ? base_mine / s.mine_seconds : 0.0;
       std::printf("%-12s %-8zu %8zu %10.3f %10.3f %10.3f %10.3f %8.2fx "
-                  "%9.2fx %6zu %8.2f\n",
+                  "%9.2fx\n",
                   w.dataset, threads, s.patterns_emitted, s.total_seconds,
                   s.tree_seconds, s.mine_seconds, s.mine_cpu_seconds, speedup,
-                  mine_speedup, s.tree_build_threads,
-                  s.tree_merge_seconds * 1000.0);
+                  mine_speedup);
       std::fflush(stdout);
 
       json.BeginRecord();
@@ -115,9 +112,6 @@ int main() {
       json.Add("mine_cpu_seconds", s.mine_cpu_seconds);
       json.Add("speedup", speedup);
       json.Add("mine_speedup", mine_speedup);
-      json.Add("tree_build_threads", s.tree_build_threads);
-      json.Add("tree_partials_merged", s.tree_partials_merged);
-      json.Add("tree_merge_seconds", s.tree_merge_seconds);
       json.Add("scratch_bytes_peak", s.scratch_bytes_peak);
       json.Add("scratch_bytes_total", s.scratch_bytes_total);
     }

@@ -9,10 +9,10 @@ Usage:
 Matches records by their parameter key (dataset, threads, per, minPS
 fraction, minRec, and the windowed-bench window/delta sizes), then:
 
-  * flags every per-stage time field (list/tree/mine/wall, the
-    partial-trie fold, and the windowed per-delta / re-mine costs) that
-    regressed by more than --threshold (default 10%), ignoring stages
-    under --min-seconds in BOTH snapshots (pure timer noise);
+  * flags every per-stage time field (list/tree/mine/wall and the
+    windowed per-delta / re-mine costs) that regressed by more than
+    --threshold (default 10%), ignoring stages under --min-seconds in
+    BOTH snapshots (pure timer noise);
   * flags any schedule-invariant counter (patterns, merge / gate-scan
     counters, and the windowed maintenance counters) that changed at
     all — those are correctness drift, not noise, and are always
@@ -41,7 +41,6 @@ TIME_FIELDS = [
     "list_seconds",
     "tree_seconds",
     "mine_seconds",
-    "tree_merge_seconds",
     "per_delta_seconds",
     "batch_remine_seconds",
 ]

@@ -600,7 +600,7 @@ void MineParallel(TsPrefixTree* tree, const RpParams& params,
 
 PreparedMining PrepareMining(const TransactionDatabase& db,
                              const RpParams& params, PruningMode pruning,
-                             QueryBudget* budget, size_t tree_threads) {
+                             QueryBudget* budget) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
   PreparedMining prepared;
   prepared.params = params;
@@ -641,58 +641,15 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 
   // Pass 2: RP-tree (Algorithms 2-3).
   phase.Restart();
-  prepared.tree = BuildRankedTree(db, prepared.items_by_rank, budget,
-                                  tree_threads, &prepared.tree_build);
+  prepared.tree = BuildRankedTree(db, prepared.items_by_rank, budget);
   prepared.initial_tree_nodes = prepared.tree.NodeCount();
   prepared.tree_seconds = phase.ElapsedSeconds();
   return prepared;
 }
 
-namespace {
-
-/// Don't split the build below this many transactions per partition: a
-/// tiny partial trie costs more to fold than its build saves. Chosen so
-/// the parallel path engages on the test corpora (>= 1024 transactions at
-/// two workers) while toy databases stay on the sequential reference.
-constexpr size_t kMinTransactionsPerBuildPartition = 256;
-
-/// Inserts transactions [begin, end) of `db` into `tree`, checkpointing
-/// the budget per transaction and reporting the tree's byte growth.
-/// Returns the bytes reported (the caller releases them when the build's
-/// accounting nets out).
-size_t InsertTransactionRange(const TransactionDatabase& db,
-                              const std::vector<uint32_t>& rank_of,
-                              size_t begin, size_t end, QueryBudget* budget,
-                              TsPrefixTree* tree) {
-  BudgetCheckpointer checkpoint(budget);
-  size_t reported_bytes = 0;
-  std::vector<uint32_t> ranks;
-  for (size_t i = begin; i < end; ++i) {
-    if (checkpoint.Check()) break;  // Partial build; the caller discards.
-    const Transaction& tr = db.transactions()[i];
-    ranks.clear();
-    for (ItemId item : tr.items) {
-      if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
-    }
-    std::sort(ranks.begin(), ranks.end());
-    tree->InsertTransaction(ranks, tr.ts);
-    if (budget != nullptr) {
-      const size_t now = tree->ApproxBytes();
-      if (now > reported_bytes) {
-        budget->AddTrackedBytes(now - reported_bytes);  // May trip memory.
-        reported_bytes = now;
-      }
-    }
-  }
-  return reported_bytes;
-}
-
-}  // namespace
-
 TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              const std::vector<ItemId>& items_by_rank,
-                             QueryBudget* budget, size_t num_threads,
-                             TreeBuildStats* stats) {
+                             QueryBudget* budget, size_t /*ignored_threads*/) {
   std::vector<uint32_t> rank_of(db.ItemUniverseSize(), kNotCandidate);
   for (uint32_t rank = 0; rank < items_by_rank.size(); ++rank) {
     RPM_CHECK(items_by_rank[rank] < rank_of.size() &&
@@ -700,88 +657,29 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
         << "invalid candidate order";
     rank_of[items_by_rank[rank]] = rank;
   }
-  if (stats != nullptr) *stats = TreeBuildStats{};
-  const size_t num_transactions = db.transactions().size();
-  const size_t partitions = std::min(
-      ResolveThreadCount(num_threads),
-      std::max<size_t>(1, num_transactions / kMinTransactionsPerBuildPartition));
-
-  if (partitions <= 1) {
-    // Sequential reference path.
-    TsPrefixTree tree(items_by_rank);
-    const size_t reported =
-        InsertTransactionRange(db, rank_of, 0, num_transactions, budget,
-                               &tree);
-    // Net the build-time accounting back out (the peak was captured); the
-    // caller re-tracks the finished tree for its mining phase.
-    if (budget != nullptr) budget->ReleaseTrackedBytes(reported);
-    return tree;
-  }
-
-  // Parallel path: one partial trie per contiguous transaction range.
-  // Partition boundaries are index arithmetic, so the decomposition is
-  // deterministic for a given (db, partitions).
-  std::vector<TsPrefixTree> partials;
-  partials.reserve(partitions);
-  for (size_t p = 0; p < partitions; ++p) partials.emplace_back(items_by_rank);
-  std::vector<size_t> reported(partitions, 0);
-  const auto partition_begin = [&](size_t p) {
-    return num_transactions * p / partitions;
-  };
-  std::function<bool()> should_stop;
-  if (budget != nullptr) {
-    should_stop = [budget] { return budget->stop_requested(); };
-  }
-  const size_t participants = ParallelFor(
-      partitions, partitions,
-      [&](size_t, size_t p) {
-        reported[p] =
-            InsertTransactionRange(db, rank_of, partition_begin(p),
-                                   partition_begin(p + 1), budget,
-                                   &partials[p]);
-      },
-      should_stop);
-  if (stats != nullptr) {
-    stats->threads_used = std::max<size_t>(participants, 1);
-  }
-
-  // Fold the partials into partition 0's trie, in partition order (the
-  // correctness argument lives in rp_tree.h / DESIGN.md §8.3). The master
-  // grows by the duplicated interior nodes and the moved ts-lists; report
-  // that growth against the budget too — during the fold both the master
-  // and the not-yet-absorbed partials are genuinely live. Checkpoint per
-  // fold step: a build stopped mid-fold is partial and gets discarded by
-  // the caller, exactly like one stopped mid-scan.
-  Stopwatch merge_watch;
+  TsPrefixTree tree(items_by_rank);
   BudgetCheckpointer checkpoint(budget);
-  TsPrefixTree tree = std::move(partials[0]);
-  size_t merge_reported = 0;
-  size_t folded = 0;
-  size_t folded_nodes = 0;
-  for (size_t p = 1; p < partitions; ++p) {
+  size_t reported_bytes = 0;
+  std::vector<uint32_t> ranks;
+  for (const Transaction& tr : db.transactions()) {
     if (checkpoint.Check()) break;  // Partial build; the caller discards.
-    folded_nodes += partials[p].NodeCount();
-    const size_t before = tree.ApproxBytes();
-    tree.MergeAppendFrom(std::move(partials[p]));
-    ++folded;
+    ranks.clear();
+    for (ItemId item : tr.items) {
+      if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
+    }
+    std::sort(ranks.begin(), ranks.end());
+    tree.InsertTransaction(ranks, tr.ts);
     if (budget != nullptr) {
-      const size_t after = tree.ApproxBytes();
-      if (after > before) {
-        budget->AddTrackedBytes(after - before);  // May trip memory.
-        merge_reported += after - before;
+      const size_t now = tree.ApproxBytes();
+      if (now > reported_bytes) {
+        budget->AddTrackedBytes(now - reported_bytes);  // May trip memory.
+        reported_bytes = now;
       }
     }
   }
-  if (budget != nullptr) {
-    size_t total = merge_reported;
-    for (size_t bytes : reported) total += bytes;
-    budget->ReleaseTrackedBytes(total);
-  }
-  if (stats != nullptr) {
-    stats->partials_merged = folded;
-    stats->merged_nodes = folded_nodes;
-    stats->merge_seconds = merge_watch.ElapsedSeconds();
-  }
+  // Net the build-time accounting back out (the peak was captured); the
+  // caller re-tracks the finished tree for its mining phase.
+  if (budget != nullptr) budget->ReleaseTrackedBytes(reported_bytes);
   return tree;
 }
 
@@ -803,9 +701,6 @@ RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
   result.stats.initial_tree_nodes = prepared.initial_tree_nodes;
   result.stats.list_seconds = prepared.list_seconds;
   result.stats.tree_seconds = prepared.tree_seconds;
-  result.stats.tree_build_threads = prepared.tree_build.threads_used;
-  result.stats.tree_partials_merged = prepared.tree_build.partials_merged;
-  result.stats.tree_merge_seconds = prepared.tree_build.merge_seconds;
 
   QueryBudget* budget = options.budget;
   const size_t tree_bytes = budget != nullptr ? tree.ApproxBytes() : 0;
@@ -844,10 +739,8 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
                                      const RpParams& params,
                                      const RpGrowthOptions& options) {
   Stopwatch total;
-  // The tree build parallelizes with the same knob as the mining phase.
-  PreparedMining prepared = PrepareMining(db, params, options.pruning,
-                                          options.budget,
-                                          options.num_threads);
+  PreparedMining prepared =
+      PrepareMining(db, params, options.pruning, options.budget);
   if (options.budget != nullptr && options.budget->hard_stopped()) {
     // The build itself was stopped; a partial tree must never be mined
     // (its ts-lists are incomplete, not a subproblem prefix).
@@ -857,9 +750,6 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
     result.stats.initial_tree_nodes = prepared.initial_tree_nodes;
     result.stats.list_seconds = prepared.list_seconds;
     result.stats.tree_seconds = prepared.tree_seconds;
-    result.stats.tree_build_threads = prepared.tree_build.threads_used;
-    result.stats.tree_partials_merged = prepared.tree_build.partials_merged;
-    result.stats.tree_merge_seconds = prepared.tree_build.merge_seconds;
     result.status = options.budget->status();
     result.truncated = true;
     result.stats.total_seconds = total.ElapsedSeconds();

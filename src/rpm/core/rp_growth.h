@@ -54,11 +54,10 @@ struct RpGrowthOptions {
   /// sink this caps memory at O(tree).
   bool store_patterns = true;
   /// Worker threads: 1 = the sequential reference path, 0 = one per
-  /// hardware thread, N = exactly N. The RP-list scan is always
-  /// sequential; the initial RP-tree build partitions the transactions
-  /// across this many workers (see BuildRankedTree), and with N > 1 each
-  /// suffix item's conditional database is projected out of the tree and
-  /// the projections are mined concurrently. The pattern set, its
+  /// hardware thread, N = exactly N. The RP-list scan and the RP-tree
+  /// build are always sequential; with N > 1 each suffix item's
+  /// conditional database is projected out of the tree and the
+  /// projections are mined concurrently. The pattern set, its
   /// canonical order and all stats counters are identical for every
   /// value. `sink` callbacks are serialized (never concurrent), but their
   /// *order* is only deterministic at num_threads == 1.
@@ -102,10 +101,6 @@ struct RpGrowthStats {
   /// comparable between thread counts (equals scratch_bytes_peak when
   /// sequential; the sum over per-worker pools when parallel).
   size_t scratch_bytes_total = 0;
-  // RP-tree construction (see TreeBuildStats):
-  size_t tree_build_threads = 1;    ///< Workers that built partial tries.
-  size_t tree_partials_merged = 0;  ///< Partials folded in (0 = sequential).
-  double tree_merge_seconds = 0.0;  ///< Wall clock of the partial-trie fold.
   double list_seconds = 0.0;        ///< Wall clock of the RP-list scan.
   double tree_seconds = 0.0;        ///< Wall clock of RP-tree construction.
   /// Wall clock of the mining phase (projection + workers when parallel).
@@ -162,20 +157,6 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
 // TS^beta). The engine's planner builds once via PrepareMining and mines
 // many times via MineFromPrepared over tree Clone()s.
 
-/// Instrumentation of one RP-tree construction, folded into the tree_*
-/// fields of RpGrowthStats.
-struct TreeBuildStats {
-  size_t threads_used = 1;   ///< Workers that actually built partial tries.
-  /// Partition-local tries folded into the master (0 for a sequential
-  /// build, which constructs the master directly).
-  size_t partials_merged = 0;
-  /// Nodes visited by the fold — the sum of the absorbed partials' node
-  /// counts, duplicates included (the fold's cost measure; the master's
-  /// final NodeCount() is what PreparedMining::initial_tree_nodes holds).
-  size_t merged_nodes = 0;
-  double merge_seconds = 0.0;  ///< Wall clock of the fold phase.
-};
-
 /// Query-independent mining state: the RP-list and the built (unmined)
 /// RP-tree, plus the build-phase stats that an end-to-end run would report.
 struct PreparedMining {
@@ -195,21 +176,16 @@ struct PreparedMining {
   size_t initial_tree_nodes = 0;
   double list_seconds = 0.0;
   double tree_seconds = 0.0;
-  TreeBuildStats tree_build;
 };
 
 /// Runs passes 1-2 over `db` at `params` (which must validate). `budget`
 /// (optional) checkpoints both scans and accounts tree bytes while
 /// building; on a hard stop the returned build is partial and must be
 /// discarded, never cached (check budget->hard_stopped()).
-/// `tree_threads` parallelizes pass 2 (see BuildRankedTree); 1 is the
-/// sequential reference, 0 = one worker per hardware thread. The built
-/// tree is observably identical for every value.
 PreparedMining PrepareMining(const TransactionDatabase& db,
                              const RpParams& params,
                              PruningMode pruning = PruningMode::kErec,
-                             QueryBudget* budget = nullptr,
-                             size_t tree_threads = 1);
+                             QueryBudget* budget = nullptr);
 
 /// Pass 2 only: builds the RP-tree of `db` over an externally supplied
 /// candidate order (every id in `items_by_rank` distinct and <
@@ -221,22 +197,14 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 /// re-tracks the finished tree for the mining phase); a stopped build
 /// returns a partial tree the caller must discard.
 ///
-/// `num_threads` > 1 (0 = hardware) partitions the transactions into
-/// contiguous ranges, builds one partial trie per range on the worker
-/// pool, and folds the partials into the first partition's trie in
-/// partition order. The result is observably identical to the sequential
-/// build: node-link chains reproduce the sequential first-touch order and
-/// every node's ts-list is the same database-order concatenation (only
-/// internal Node::seq values and sibling-list order differ; nothing reads
-/// either — see DESIGN.md §8.3). Budget checkpoints cover every partial
-/// and every fold step, and each worker reports its partial's growth, so
-/// governance semantics carry over. `stats`, when non-null, receives the
-/// build's instrumentation.
+/// The build is sequential: move-to-front sibling lists (rp_tree.h) make
+/// it cheaper than any partition-and-fold scheme measured (EXPERIMENTS.md).
+/// `ignored_threads` is accepted for source compatibility with callers
+/// that still pass a thread count and has no effect.
 TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              const std::vector<ItemId>& items_by_rank,
                              QueryBudget* budget = nullptr,
-                             size_t num_threads = 1,
-                             TreeBuildStats* stats = nullptr);
+                             size_t ignored_threads = 1);
 
 /// Pass 3 (bottom-up mining) over `tree`, consumed in the process. `tree`
 /// must come from `prepared` (the master or a Clone()), and `params` must

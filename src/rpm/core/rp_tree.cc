@@ -19,8 +19,20 @@ TsPrefixTree::TsPrefixTree(std::vector<ItemId> items_by_rank)
 
 TsPrefixTree::Node* TsPrefixTree::GetOrCreateChild(Node* parent,
                                                    uint32_t rank) {
-  for (Node* c = parent->first_child; c != nullptr; c = c->next_sibling) {
-    if (c->rank == rank) return c;
+  // Move-to-front: a found child is relinked at the head of its sibling
+  // list, so the hot children of a wide parent (the root has one child
+  // per candidate item) stay a step or two away. Only sibling order
+  // changes; node creation, and with it chain order, stays first-touch.
+  for (Node** slot = &parent->first_child; *slot != nullptr;
+       slot = &(*slot)->next_sibling) {
+    Node* c = *slot;
+    if (c->rank != rank) continue;
+    if (slot != &parent->first_child) {
+      *slot = c->next_sibling;
+      c->next_sibling = parent->first_child;
+      parent->first_child = c;
+    }
+    return c;
   }
   // Same failure surface a real arena-chunk exhaustion would have; the
   // engine layer maps it to kResourceExhausted (DESIGN.md §7.4).
@@ -101,32 +113,6 @@ TsPrefixTree TsPrefixTree::Clone() const {
   // parent is the root are dropped), so the chain walk copied all of them.
   copy.timestamp_count_ = timestamp_count_;
   return copy;
-}
-
-void TsPrefixTree::MergeAppendFrom(TsPrefixTree&& other) {
-  RPM_DCHECK(other.items_by_rank_ == items_by_rank_);
-  // Same ascending-rank chain walk as Clone(), for the same reason: paths
-  // carry strictly ascending ranks, so every node's parent is mapped
-  // before the node itself. target_of is the other-seq -> master-node map.
-  std::vector<Node*> target_of(other.next_seq_, nullptr);
-  target_of[other.root_->seq] = root_;
-  for (size_t rank = 0; rank < other.heads_.size(); ++rank) {
-    for (Node* n = other.heads_[rank]; n != nullptr; n = n->next_link) {
-      Node* node =
-          GetOrCreateChild(target_of[n->parent->seq], n->rank);
-      target_of[n->seq] = node;
-      if (n->ts_list.empty()) continue;
-      if (node->ts_list.empty()) {
-        node->ts_list = std::move(n->ts_list);
-      } else {
-        node->ts_list.insert(node->ts_list.end(), n->ts_list.begin(),
-                             n->ts_list.end());
-      }
-      n->ts_list.clear();
-    }
-  }
-  timestamp_count_ += other.timestamp_count_;
-  other.timestamp_count_ = 0;
 }
 
 TsPrefixTree::RetireStats TsPrefixTree::RetireBefore(Timestamp cutoff) {

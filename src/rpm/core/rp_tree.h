@@ -38,7 +38,9 @@ class TsPrefixTree {
     Node* parent = nullptr;
     Node* next_link = nullptr;  // Chain of nodes with the same rank.
     /// Children as an intrusive singly-linked sibling list (no per-node
-    /// child vector to allocate).
+    /// child vector to allocate), kept in access order: inserts move the
+    /// child they step through to the front. Nothing reads sibling order
+    /// (DESIGN.md §8.3); chains and ts-lists carry every observable.
     Node* first_child = nullptr;
     Node* next_sibling = nullptr;
     /// Timestamps of transactions whose deepest item is this node
@@ -125,19 +127,6 @@ class TsPrefixTree {
   /// from several threads on the same (unmutated) tree.
   TsPrefixTree Clone() const;
 
-  /// Folds `other` (same rank order, consumed) into this tree: every node
-  /// of `other` maps onto this tree's node with the same root path
-  /// (created when absent, via the same chain-appending GetOrCreateChild
-  /// the builders use) and its ts-list is appended — moved when the target
-  /// list is empty. The parallel tree build absorbs partition-local
-  /// partial tries with this, in partition order; because chains only grow
-  /// at node creation, the master's chain order after all folds equals the
-  /// sequential build's first-touch order, and each node's ts-list is the
-  /// identical database-order concatenation. Like the builders, may throw
-  /// under the "rptree.alloc" failpoint; `other` is unusable afterwards
-  /// either way.
-  void MergeAppendFrom(TsPrefixTree&& other);
-
   /// Outcome of a RetireBefore sweep.
   struct RetireStats {
     size_t timestamps_retired = 0;
@@ -149,7 +138,7 @@ class TsPrefixTree {
   /// expiry sweep of the windowed miner (DESIGN.md §9). Filtering keeps
   /// relative order, so each surviving list is still a concatenation of
   /// sorted runs and node-link chains keep their original order (the
-  /// determinism contract of Clone/MergeAppendFrom). Like PushUpAndRemove,
+  /// determinism contract of Clone). Like PushUpAndRemove,
   /// retired nodes stay in the arena until the tree dies; the windowed
   /// miner's per-delta trees are transient, so the slabs are reclaimed at
   /// the end of every delta, and long-lived trees are rebuilt by its

@@ -226,8 +226,7 @@ PatternDelta WindowedMiner::ApplyDeltaInternal(
     Stopwatch mine_clock;
     TransactionDatabase sub_db{std::move(sub)};
     PreparedMining prep =
-        PrepareMining(sub_db, params_, PruningMode::kErec, budget,
-                      /*tree_threads=*/1);
+        PrepareMining(sub_db, params_, PruningMode::kErec, budget);
     if (budget != nullptr && budget->hard_stopped()) {
       d.mine_seconds = mine_clock.ElapsedSeconds();
       return refuse(RefusalStatus(budget));

@@ -100,8 +100,7 @@ Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
         RpParams floor_params = query.params;
         floor_params.min_rec = top_k_options.floor_min_rec;
         Stopwatch plan_clock;
-        QueryPlanner::Plan plan =
-            planner.PlanFor(floor_params, budget, num_threads);
+        QueryPlanner::Plan plan = planner.PlanFor(floor_params, budget);
         out.plan_seconds = plan_clock.ElapsedSeconds();
         out.tree_reused = plan.reused;
         if (budget != nullptr && budget->hard_stopped()) {
@@ -143,8 +142,7 @@ Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
       }
     } else {
       Stopwatch plan_clock;
-      QueryPlanner::Plan plan =
-          planner.PlanFor(query.params, budget, num_threads);
+      QueryPlanner::Plan plan = planner.PlanFor(query.params, budget);
       out.plan_seconds = plan_clock.ElapsedSeconds();
       out.tree_reused = plan.reused;
       if (budget != nullptr && budget->hard_stopped()) {

@@ -33,8 +33,7 @@ QueryPlanner::QueryPlanner(std::shared_ptr<const DatasetSnapshot> snapshot)
 }
 
 QueryPlanner::Plan QueryPlanner::PlanFor(const RpParams& params,
-                                         QueryBudget* budget,
-                                         size_t build_threads) {
+                                         QueryBudget* budget) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
   if (Plan hit = FindServing(params); hit.prepared != nullptr) return hit;
   // Build outside the lock: concurrent planners for disjoint params
@@ -43,8 +42,7 @@ QueryPlanner::Plan QueryPlanner::PlanFor(const RpParams& params,
   // for later queries — simpler than a per-key latch and harmless at
   // session query rates.
   auto built = std::make_shared<PreparedMining>(
-      PrepareMining(snapshot_->db(), params, PruningMode::kErec, budget,
-                    build_threads));
+      PrepareMining(snapshot_->db(), params, PruningMode::kErec, budget));
   if (budget != nullptr && budget->hard_stopped()) {
     // Aborted build: incomplete RP-list/tree. Hand it back for accounting
     // but never cache it or count it as a session build.

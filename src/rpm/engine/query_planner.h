@@ -61,13 +61,7 @@ class QueryPlanner {
   /// mid-build, the partial build is returned UNCACHED and uncounted — a
   /// partial tree must never serve a later query — and the caller must
   /// check budget->hard_stopped() before mining it.
-  ///
-  /// `build_threads` parallelizes a fresh build's tree-construction pass
-  /// (1 = sequential reference, 0 = hardware). The built tree is
-  /// observably identical for every value, so cached builds serve queries
-  /// regardless of the thread count they were built with.
-  Plan PlanFor(const RpParams& params, QueryBudget* budget = nullptr,
-               size_t build_threads = 1);
+  Plan PlanFor(const RpParams& params, QueryBudget* budget = nullptr);
 
   const DatasetSnapshot& snapshot() const { return *snapshot_; }
   std::shared_ptr<const DatasetSnapshot> snapshot_ptr() const {

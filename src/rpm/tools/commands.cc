@@ -110,11 +110,6 @@ void PrintMineSummary(const Query& query, const QueryResult& result,
       << result.stats.scratch_bytes_total << " B]";
   err << " [gate scan " << result.stats.gate_lists_scanned << " lists / "
       << result.stats.gate_gaps_scanned << " gaps]";
-  if (result.stats.tree_build_threads > 1) {
-    err << " [tree build " << result.stats.tree_build_threads << " threads, "
-        << result.stats.tree_partials_merged << " partials folded in "
-        << result.stats.tree_merge_seconds << "s]";
-  }
   if (result.tree_reused) err << " [tree reused]";
   if (result.backend == "windowed") {
     err << " [windowed " << result.windowed.deltas_applied << " deltas / "

@@ -38,9 +38,9 @@
 //                     end-to-end. Exact model only (skipped when
 //                     params.max_gap_violations > 0).
 //
-// The parallel run of check (b) builds its RP-tree through the
-// partitioned parallel build, so (b) also differentially validates
-// parallel-vs-sequential tree construction on every case.
+// Both runs of check (b) build their RP-tree with the one sequential
+// build, so (b) differentially validates parallel mining against
+// sequential mining over one build on every case.
 //
 // The sequential miner is injectable so harness tests can plant a known
 // bug (e.g. an off-by-one on interval ends) and assert the checks catch

@@ -1,11 +1,16 @@
 #include "rpm/core/rp_tree.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rpm/core/cancellation.h"
+#include "rpm/core/rp_growth.h"
+#include "rpm/timeseries/transaction_database.h"
 #include "test_util.h"
 
 namespace rpm {
@@ -173,12 +178,13 @@ TEST(TsPrefixTreeTest, SharedPrefixesCompress) {
 
 // --- Clone (the query engine's build-once/mine-many primitive) --------------
 
-/// Per-rank (path, ts-list) pairs in node-link *chain order* — the order
-/// mining visits conditional pattern bases, so equality here implies
+/// A rank's (root path, ts-list) pairs in node-link *chain order* — the
+/// order mining visits conditional pattern bases, so equality here implies
 /// bit-identical mining behaviour, counters included.
-std::vector<std::pair<std::vector<uint32_t>, TimestampList>> ChainOfRank(
-    const TsPrefixTree& tree, size_t rank) {
-  std::vector<std::pair<std::vector<uint32_t>, TimestampList>> chain;
+using Chain = std::vector<std::pair<std::vector<uint32_t>, TimestampList>>;
+
+Chain ChainOfRank(const TsPrefixTree& tree, size_t rank) {
+  Chain chain;
   tree.ForEachNodeOfRank(
       rank, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
         chain.emplace_back(path, ts);
@@ -338,6 +344,272 @@ TEST(TsPrefixTreeTest, RetireBeforePreservesChainOrderAndRuns) {
                                 const TimestampList& ts) {
     EXPECT_EQ(ts, (TimestampList{4}));
   });
+}
+
+// --- Move-to-front sibling lists --------------------------------------------
+//
+// A lookup that finds a child relinks it at the head of its parent's
+// sibling list. Sibling order then follows access, but nodes are still
+// created in first-touch order, so node-link chains, ts-lists and every
+// operation that walks them are unchanged.
+
+/// Flattened observable state of a tree: every rank's chain. Equality of
+/// this snapshot is equality of everything mining can see.
+struct TreeSnapshot {
+  std::vector<Chain> by_rank;
+  size_t node_count = 0;
+  size_t timestamp_count = 0;
+  bool operator==(const TreeSnapshot&) const = default;
+};
+
+TreeSnapshot Snapshot(const TsPrefixTree& tree) {
+  TreeSnapshot snap;
+  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
+    snap.by_rank.push_back(ChainOfRank(tree, rank));
+  }
+  snap.node_count = tree.NodeCount();
+  snap.timestamp_count = tree.TimestampCount();
+  return snap;
+}
+
+/// Reference model of a build: every prefix of every inserted rank
+/// sequence becomes a node the first time it is touched; a chain lists
+/// its rank's nodes in that creation order, and a node's ts-list is the
+/// concatenation of the lists inserted at it, in insertion order.
+class FirstTouchModel {
+ public:
+  explicit FirstTouchModel(size_t num_ranks) : by_rank_(num_ranks) {}
+
+  void Insert(const std::vector<uint32_t>& ranks, const TimestampList& ts) {
+    if (ranks.empty()) return;
+    std::vector<uint32_t> prefix;
+    for (uint32_t rank : ranks) {
+      prefix.push_back(rank);
+      if (index_.emplace(prefix, by_rank_[rank].size()).second) {
+        by_rank_[rank].push_back(
+            {std::vector<uint32_t>(prefix.begin(), prefix.end() - 1), {}});
+      }
+    }
+    TimestampList& list = by_rank_[ranks.back()][index_[ranks]].second;
+    list.insert(list.end(), ts.begin(), ts.end());
+    timestamps_ += ts.size();
+  }
+
+  TreeSnapshot Snapshot() const {
+    TreeSnapshot snap;
+    snap.by_rank = by_rank_;
+    snap.node_count = index_.size();
+    snap.timestamp_count = timestamps_;
+    return snap;
+  }
+
+ private:
+  std::vector<Chain> by_rank_;
+  std::map<std::vector<uint32_t>, size_t> index_;  // Prefix -> chain slot.
+  size_t timestamps_ = 0;
+};
+
+/// Ranks of the root's children, in sibling-list order.
+std::vector<uint32_t> RootChildRanks(const TsPrefixTree& tree) {
+  std::vector<uint32_t> ranks;
+  const TsPrefixTree::Node* any = tree.HeadOfRank(0);
+  if (any == nullptr) return ranks;
+  for (const TsPrefixTree::Node* c = any->parent->first_child; c != nullptr;
+       c = c->next_sibling) {
+    ranks.push_back(c->rank);
+  }
+  return ranks;
+}
+
+using Rows = std::vector<std::pair<Timestamp, std::vector<uint32_t>>>;
+
+/// Later rows step through non-head siblings, at the root and below.
+const Rows& ReorderingRows() {
+  static const Rows rows = {
+      {1, {0, 2}}, {2, {1, 2}}, {3, {2}}, {4, {3}},
+      {5, {0, 3}},  // Root siblings 3,2,1,0: 0 moves to the front.
+      {6, {0, 2}},  // Under 0, siblings 3,2: 2 moves to the front.
+      {7, {1, 3}}, {8, {2}}, {9, {0, 3}}, {10, {3}},
+  };
+  return rows;
+}
+
+TsPrefixTree BuildReorderedTree() {
+  TsPrefixTree tree({A, B, C, D});
+  for (const auto& [ts, ranks] : ReorderingRows()) {
+    tree.InsertTransaction(ranks, ts);
+  }
+  return tree;
+}
+
+TEST(TsPrefixTreeTest, MoveToFrontKeepsChainsInFirstTouchOrder) {
+  const TsPrefixTree tree = BuildReorderedTree();
+  // Sibling order is access order: the most recently used child first.
+  // A creation-ordered list would read 3,2,1,0.
+  EXPECT_EQ(RootChildRanks(tree), (std::vector<uint32_t>{3, 0, 2, 1}));
+
+  // Chains stay in creation (first-touch) order and ts-lists in database
+  // order, whatever the sibling lists look like.
+  const TreeSnapshot snap = Snapshot(tree);
+  EXPECT_EQ(snap.by_rank[2], (Chain{{{0}, {1, 6}}, {{1}, {2}}, {{}, {3, 8}}}));
+  EXPECT_EQ(snap.by_rank[3], (Chain{{{}, {4, 10}}, {{0}, {5, 9}}, {{1}, {7}}}));
+  EXPECT_EQ(snap.node_count, 8u);
+  EXPECT_EQ(snap.timestamp_count, 10u);
+
+  FirstTouchModel model(4);
+  for (const auto& [ts, ranks] : ReorderingRows()) model.Insert(ranks, {ts});
+  EXPECT_EQ(snap, model.Snapshot());
+}
+
+TEST(TsPrefixTreeTest, MoveToFrontBuildMatchesFirstTouchModel) {
+  for (uint64_t seed : {1u, 7u, 99u}) {
+    testing::RandomDbSpec spec;
+    spec.num_items = 12;
+    spec.num_timestamps = 1600;
+    spec.num_bursts = 8;
+    const TransactionDatabase db = testing::MakeRandomDb(spec, seed);
+    std::vector<ItemId> order(db.ItemUniverseSize());
+    for (ItemId i = 0; i < order.size(); ++i) order[i] = i;
+    const TsPrefixTree tree = BuildRankedTree(db, order);
+    FirstTouchModel model(order.size());
+    for (const Transaction& tr : db.transactions()) {
+      std::vector<uint32_t> ranks(tr.items.begin(), tr.items.end());
+      std::sort(ranks.begin(), ranks.end());
+      model.Insert(ranks, {tr.ts});
+    }
+    EXPECT_EQ(Snapshot(tree), model.Snapshot()) << "seed=" << seed;
+  }
+}
+
+TEST(TsPrefixTreeTest, CloneAfterMoveToFront) {
+  const TsPrefixTree tree = BuildReorderedTree();
+  const TsPrefixTree clone = tree.Clone();
+  EXPECT_EQ(Snapshot(clone), Snapshot(tree));
+}
+
+TEST(TsPrefixTreeTest, PushUpAfterMoveToFront) {
+  // Unlinking walks the (reordered) sibling lists; bottom-up mining still
+  // collects, at every rank, exactly the transactions containing it.
+  TsPrefixTree tree = BuildReorderedTree();
+  for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+    TimestampList collected;
+    tree.ForEachNodeOfRank(
+        rank, [&](const std::vector<uint32_t>&, const TimestampList& ts) {
+          collected.insert(collected.end(), ts.begin(), ts.end());
+        });
+    std::sort(collected.begin(), collected.end());
+    TimestampList want;
+    for (const auto& [ts, ranks] : ReorderingRows()) {
+      if (std::find(ranks.begin(), ranks.end(), rank) != ranks.end()) {
+        want.push_back(ts);
+      }
+    }
+    EXPECT_EQ(collected, want) << "rank " << rank;
+    tree.PushUpAndRemove(rank);
+    EXPECT_EQ(tree.HeadOfRank(rank), nullptr);
+  }
+  EXPECT_TRUE(tree.empty());
+}
+
+TEST(TsPrefixTreeTest, RetireBeforeAfterMoveToFront) {
+  // Retiring the first five rows filters every list and detaches the one
+  // node left empty and childless; survivors keep their chain order.
+  TsPrefixTree tree = BuildReorderedTree();
+  const TsPrefixTree::RetireStats stats = tree.RetireBefore(6);
+  EXPECT_EQ(stats.timestamps_retired, 5u);
+  EXPECT_EQ(stats.nodes_retired, 1u);  // {2} under 1 held only ts 2.
+  const TreeSnapshot snap = Snapshot(tree);
+  EXPECT_EQ(snap.by_rank[2], (Chain{{{0}, {6}}, {{}, {8}}}));
+  EXPECT_EQ(snap.by_rank[3], (Chain{{{}, {10}}, {{0}, {9}}, {{1}, {7}}}));
+  EXPECT_EQ(snap.node_count, 7u);
+  EXPECT_EQ(snap.timestamp_count, 5u);
+  // The swept tree keeps serving inserts and clones.
+  tree.InsertTransaction({1, 2}, 11);
+  EXPECT_EQ(Snapshot(tree.Clone()), Snapshot(tree));
+}
+
+TEST(TsPrefixTreeTest, InsertPathMoveToFrontKeepsChainsInFirstTouchOrder) {
+  // Conditional-tree construction: whole lists land at path ends.
+  const std::vector<std::pair<std::vector<uint32_t>, TimestampList>> paths = {
+      {{0, 1}, {1, 4}}, {{1}, {2}}, {{2}, {3}},
+      {{0, 2}, {5}},     // Root siblings 2,1,0: 0 moves to the front.
+      {{0, 1}, {6, 9}},  // Under 0, siblings 2,1: 1 moves to the front.
+      {{1, 2}, {7}}, {{0, 2}, {8}},
+  };
+  TsPrefixTree tree({A, B, C});
+  FirstTouchModel model(3);
+  for (const auto& [ranks, ts] : paths) {
+    tree.InsertPath(ranks, ts);
+    model.Insert(ranks, ts);
+  }
+  EXPECT_EQ(RootChildRanks(tree), (std::vector<uint32_t>{0, 1, 2}));
+  const TreeSnapshot snap = Snapshot(tree);
+  EXPECT_EQ(snap.by_rank[1], (Chain{{{0}, {1, 4, 6, 9}}, {{}, {2}}}));
+  EXPECT_EQ(snap.by_rank[2], (Chain{{{}, {3}}, {{0}, {5, 8}}, {{1}, {7}}}));
+  EXPECT_EQ(snap, model.Snapshot());
+  EXPECT_EQ(Snapshot(tree.Clone()), snap);
+}
+
+// --- BuildRankedTree: pass 2 over a database, under a budget ----------------
+
+/// A database large enough to span several budget checkpoint strides.
+TransactionDatabase BuildDb(uint64_t seed) {
+  testing::RandomDbSpec spec;
+  spec.num_items = 12;
+  spec.num_timestamps = 1600;
+  spec.max_gap = 3;
+  spec.num_bursts = 8;
+  return testing::MakeRandomDb(spec, seed);
+}
+
+RpParams BuildDbParams() {
+  RpParams params;
+  params.period = 4;
+  params.min_ps = 3;
+  params.min_rec = 2;
+  return params;
+}
+
+TEST(TreeBuildTest, ThreadCountArgumentIsIgnored) {
+  // Callers that still pass a thread count get the one sequential build.
+  const TransactionDatabase db = BuildDb(3);
+  const PreparedMining prepared = PrepareMining(db, BuildDbParams());
+  const TreeSnapshot want = Snapshot(prepared.tree);
+  for (size_t threads : {0u, 1u, 2u, 4u}) {
+    const TsPrefixTree tree =
+        BuildRankedTree(db, prepared.items_by_rank, nullptr, threads);
+    EXPECT_EQ(Snapshot(tree), want) << "threads=" << threads;
+  }
+}
+
+TEST(TreeBuildTest, CancelledBudgetStopsBuild) {
+  const TransactionDatabase db = BuildDb(5);
+  const PreparedMining prepared = PrepareMining(db, BuildDbParams());
+  ASSERT_GT(prepared.tree.TimestampCount(), 0u);
+  CancellationToken cancel;
+  cancel.Cancel();
+  ResourceLimits limits;
+  QueryBudget budget(limits, &cancel);
+  budget.Probe();  // Latch the cancellation before the build starts.
+  const TsPrefixTree tree = BuildRankedTree(db, prepared.items_by_rank,
+                                            &budget);
+  EXPECT_TRUE(budget.hard_stopped());
+  EXPECT_EQ(budget.stop_reason(), StopReason::kCancelled);
+  // A latched stop is seen at the first checkpoint: nothing is inserted.
+  EXPECT_EQ(tree.TimestampCount(), 0u);
+}
+
+TEST(TreeBuildTest, MemoryBudgetTripsBuild) {
+  const TransactionDatabase db = BuildDb(13);
+  const PreparedMining prepared = PrepareMining(db, BuildDbParams());
+  ResourceLimits limits;
+  limits.memory_budget_bytes = 1;  // Any tracked growth trips it.
+  QueryBudget budget(limits, nullptr);
+  const TsPrefixTree tree = BuildRankedTree(db, prepared.items_by_rank,
+                                            &budget);
+  EXPECT_TRUE(budget.hard_stopped());
+  EXPECT_EQ(budget.stop_reason(), StopReason::kMemory);
+  EXPECT_LT(tree.TimestampCount(), prepared.tree.TimestampCount());
 }
 
 }  // namespace
