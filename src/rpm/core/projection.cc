@@ -2,32 +2,23 @@
 
 namespace rpm {
 
-std::vector<SuffixProjection> ProjectSuffixItems(TsPrefixTree* tree,
-                                                 MergeCounters* counters) {
+std::vector<SuffixProjection> ProjectSuffixItems(TsPrefixTree* tree) {
   std::vector<SuffixProjection> projections;
-  MergeCounters local_counters;
-  if (counters == nullptr) counters = &local_counters;
-  MergeScratch merge_scratch;
-  std::vector<TsRun> runs;
   for (size_t rank = tree->num_ranks(); rank-- > 0;) {
     if (tree->HeadOfRank(rank) == nullptr) continue;
     SuffixProjection projection;
     projection.rank = static_cast<uint32_t>(rank);
-    runs.clear();
-    // Same collection the sequential miner performs for this rank
-    // (rp_growth.cc), but into owned storage. The runs reference the owned
-    // copies: ProjectedPath reallocation moves the vectors, which keeps
-    // their heap buffers (and thus the run pointers) stable.
-    tree->ForEachNodeOfRank(
-        rank, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-          if (ts.empty() && path.empty()) return;
-          projection.paths.push_back({path, ts});
-          AppendSortedRuns(projection.paths.back().ts, &runs);
-        });
+    // The nodes the sequential miner collects for this rank (rp_growth.cc),
+    // with their ts-lists copied before push-up moves them to the parents.
+    for (const TsPrefixTree::Node* n = tree->HeadOfRank(rank); n != nullptr;
+         n = n->next_link) {
+      projection.nodes.push_back(n);
+      projection.ts.insert(projection.ts.end(), n->ts_list.begin(),
+                           n->ts_list.end());
+      projection.ts_end.push_back(static_cast<uint32_t>(projection.ts.size()));
+    }
     tree->PushUpAndRemove(rank);
-    if (runs.empty()) continue;  // No timestamps at this rank.
-    MergeSortedRuns(runs.data(), runs.size(), &projection.ts_beta,
-                    &merge_scratch, counters);
+    if (projection.ts.empty()) continue;  // No timestamps at this rank.
     projections.push_back(std::move(projection));
   }
   return projections;

@@ -5,54 +5,47 @@
 // prefix paths of ai's nodes together with the accumulated ts-lists of
 // their subtrees (what sequential mining materializes incrementally via
 // ts-list push-up, Lemma 3). ProjectSuffixItems runs one bottom-up
-// collect-and-push-up sweep over the tree and snapshots each rank's base
-// into a self-contained SuffixProjection. Projections share no storage
-// with the tree or each other, so they can be mined on worker threads
-// with no synchronization; mining each projection with the standard
-// push-up recursion yields exactly the patterns the sequential miner
-// finds for that suffix item.
+// push-up sweep over the tree and records per rank only what push-up
+// moves away: the ts-lists. Projections reference the consumed tree's
+// nodes read-only for the prefix paths (push-up never writes a node's
+// parent or rank), so workers mine them with no synchronization, and
+// mining each with the standard push-up recursion yields exactly the
+// patterns the sequential miner finds for that suffix item.
 
 #ifndef RPM_CORE_PROJECTION_H_
 #define RPM_CORE_PROJECTION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rpm/core/rp_tree.h"
-#include "rpm/core/ts_merge.h"
 #include "rpm/timeseries/types.h"
 
 namespace rpm {
 
-/// One element of a conditional pattern base, with owned storage.
-struct ProjectedPath {
-  /// Ancestor ranks in the parent tree's order, ascending (root side
-  /// first), excluding the suffix rank itself.
-  std::vector<uint32_t> ranks;
-  /// Accumulated ts-list of the node's subtree: a concatenation of sorted
-  /// runs (not globally sorted).
-  TimestampList ts;
-};
-
-/// The independent mining subproblem of one suffix item.
+/// The independent mining subproblem of one suffix item. Its nodes live
+/// in the consumed tree, which must outlive the projection's mining.
 struct SuffixProjection {
-  /// Rank of the suffix item in the parent tree's order.
-  uint32_t rank = 0;
-  /// Conditional pattern base of the suffix item.
-  std::vector<ProjectedPath> paths;
-  /// TS^{item}: sorted union of all path ts-lists.
-  TimestampList ts_beta;
+  uint32_t rank = 0;  ///< Rank of the suffix item in the tree's order.
+  std::vector<const TsPrefixTree::Node*> nodes;  ///< In chain order.
+  /// The nodes' ts-lists before push-up, concatenated in chain order
+  /// (size |TS^{item}|); node i's list ends at ts_end[i].
+  TimestampList ts;
+  std::vector<uint32_t> ts_end;
+
+  std::span<const Timestamp> TsOf(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ts_end[i - 1];
+    return {ts.data() + begin, ts_end[i] - begin};
+  }
 };
 
-/// Decomposes `tree` into one projection per suffix rank that has nodes,
-/// in bottom-up (descending-rank) order — the sequential processing order.
-/// Consumes the tree exactly like sequential mining does (ts-lists pushed
-/// up, nodes detached); only the tree's rank->item mapping remains usable
-/// afterwards. Each ts_beta is assembled with the run-aware merge kernel
-/// (the same merges the sequential miner performs per top-level rank);
-/// when `counters` is non-null the kernel's work is accumulated there.
-std::vector<SuffixProjection> ProjectSuffixItems(
-    TsPrefixTree* tree, MergeCounters* counters = nullptr);
+/// Decomposes `tree` into one projection per suffix rank that has
+/// timestamps, in bottom-up (descending-rank) order — the sequential
+/// processing order. Consumes the tree exactly like sequential mining does
+/// (ts-lists pushed up, nodes detached); afterwards only the tree's
+/// rank->item mapping and its detached nodes' paths remain usable.
+std::vector<SuffixProjection> ProjectSuffixItems(TsPrefixTree* tree);
 
 }  // namespace rpm
 

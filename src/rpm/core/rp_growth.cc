@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -27,7 +28,7 @@ namespace {
 struct PathRef {
   uint32_t ranks_begin = 0;  // Offset into the frame's rank storage.
   uint32_t ranks_len = 0;
-  const TimestampList* ts = nullptr;
+  std::span<const Timestamp> ts;
 };
 
 /// Per-recursion-level scratch. Frames are pooled by depth and reused
@@ -37,7 +38,7 @@ struct PathRef {
 /// by the level's own MineCollected tail), which is why frames are pooled
 /// per depth rather than shared.
 struct Frame {
-  // Conditional-pattern-base collection (ProcessRank / MineProjection):
+  // Conditional-pattern-base collection (CollectAndMine):
   std::vector<PathRef> paths;
   std::vector<uint32_t> rank_storage;   ///< Flat ancestor-rank slab.
   std::vector<TsRun> beta_runs;         ///< Run descriptors for TS^beta.
@@ -142,25 +143,22 @@ class Miner {
   }
 
   /// Mines one top-level projection: the independent subproblem of a
-  /// single suffix item, pre-collected by ProjectSuffixItems (which also
-  /// merged ts_beta, so no merge happens here).
+  /// single suffix item, recorded by ProjectSuffixItems. Collects the base
+  /// from the projection's nodes and ts-list slab exactly as ProcessRank
+  /// collects it from the live tree.
   Outcome MineProjection(const std::vector<ItemId>& items_by_rank,
-                         SuffixProjection* projection,
+                         const SuffixProjection& projection,
                          uint64_t cap_headroom) {
     BeginSubproblem(cap_headroom);
-    Frame& frame = scratch_->FrameAt(depth_);
-    frame.paths.clear();
-    frame.rank_storage.clear();
-    for (const ProjectedPath& p : projection->paths) {
-      if (ShouldStop()) return CurrentOutcome();
-      frame.paths.push_back({static_cast<uint32_t>(frame.rank_storage.size()),
-                             static_cast<uint32_t>(p.ranks.size()), &p.ts});
-      frame.rank_storage.insert(frame.rank_storage.end(), p.ranks.begin(),
-                                p.ranks.end());
-    }
     Itemset suffix;
-    MineCollected(items_by_rank, frame, projection->ts_beta,
-                  items_by_rank[projection->rank], &suffix);
+    CollectAndMine(
+        items_by_rank, items_by_rank[projection.rank],
+        [&](auto&& add) {
+          for (size_t i = 0; i < projection.nodes.size(); ++i) {
+            if (!add(projection.nodes[i], projection.TsOf(i))) return;
+          }
+        },
+        &suffix);
     return CurrentOutcome();
   }
 
@@ -217,42 +215,61 @@ class Miner {
   }
 
   void ProcessRank(TsPrefixTree* tree, size_t rank, Itemset* suffix) {
-    // Collect the conditional pattern base of ai and TS^beta's sorted runs
-    // in one walk. Ancestor ranks go into the frame's flat slab (the
-    // node-link walk reuses one path buffer; copying it into the slab is
-    // the only per-node cost — no per-path vector is allocated).
+    CollectAndMine(
+        tree->items_by_rank(), tree->ItemAtRank(rank),
+        [&](auto&& add) {
+          for (const TsPrefixTree::Node* n = tree->HeadOfRank(rank);
+               n != nullptr; n = n->next_link) {
+            if (!add(n, n->ts_list)) return;
+          }
+        },
+        suffix);
+  }
+
+  /// Collects the conditional pattern base of suffix item `item` and
+  /// TS^beta's sorted runs in one walk, then merges and mines it.
+  /// `for_each_node(add)` calls add(node, ts-list) per node in chain order
+  /// until add returns false (a budget stop). Ancestor ranks go from the
+  /// parent pointers straight into the frame's flat slab.
+  template <typename ForEachNode>
+  void CollectAndMine(const std::vector<ItemId>& items_by_rank, ItemId item,
+                      ForEachNode&& for_each_node, Itemset* suffix) {
     Frame& frame = scratch_->FrameAt(depth_);
     frame.paths.clear();
     frame.rank_storage.clear();
     frame.beta_runs.clear();
-    tree->ForEachNodeOfRankWhile(
-        rank, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-          if (ShouldStop()) return false;
-          if (ts.empty() && path.empty()) return true;
-          frame.paths.push_back(
-              {static_cast<uint32_t>(frame.rank_storage.size()),
-               static_cast<uint32_t>(path.size()), &ts});
-          frame.rank_storage.insert(frame.rank_storage.end(), path.begin(),
-                                    path.end());
-          AppendSortedRuns(ts, &frame.beta_runs);
-          return true;
-        });
+    for_each_node([&](const TsPrefixTree::Node* node,
+                      std::span<const Timestamp> ts) {
+      if (ShouldStop()) return false;
+      const size_t begin = frame.rank_storage.size();
+      for (const TsPrefixTree::Node* a = node->parent; a->parent != nullptr;
+           a = a->parent) {
+        frame.rank_storage.push_back(a->rank);
+      }
+      const size_t len = frame.rank_storage.size() - begin;
+      if (ts.empty() && len == 0) return true;
+      std::reverse(frame.rank_storage.begin() + begin,
+                   frame.rank_storage.end());
+      frame.paths.push_back({static_cast<uint32_t>(begin),
+                             static_cast<uint32_t>(len), ts});
+      AppendSortedRuns(ts, &frame.beta_runs);
+      return true;
+    });
     if (aborted_ || overflowed_) return;  // Abandoned mid-walk.
     if (frame.beta_runs.empty()) return;  // No timestamps at this rank.
     MergeSortedRuns(frame.beta_runs.data(), frame.beta_runs.size(),
                     &frame.ts_beta, &scratch_->merge, &scratch_->counters);
-    MineCollected(tree->items_by_rank(), frame, frame.ts_beta,
-                  tree->ItemAtRank(rank), suffix);
+    MineCollected(items_by_rank, frame, item, suffix);
   }
 
-  /// Common tail of ProcessRank / MineProjection: the fused gate +
-  /// getRecurrence (Algorithm 5) and the conditional recursion for suffix
-  /// item `item`. `frame` is this depth's frame holding the conditional
-  /// pattern base; `ts_beta` is sorted and nonempty.
+  /// Tail of CollectAndMine: the fused gate + getRecurrence (Algorithm 5)
+  /// and the conditional recursion for suffix item `item`. `frame` is this
+  /// depth's frame holding the conditional pattern base and its merged,
+  /// nonempty TS^beta.
   void MineCollected(const std::vector<ItemId>& items_by_rank, Frame& frame,
-                     const TimestampList& ts_beta, ItemId item,
-                     Itemset* suffix) {
+                     ItemId item, Itemset* suffix) {
     if (ShouldStop()) return;
+    const TimestampList& ts_beta = frame.ts_beta;
     ++result_->stats.patterns_examined;
 
     // One scan decides the gate AND yields IPI^beta for getRecurrence —
@@ -315,9 +332,9 @@ class Miner {
     // runs_by_rank[r] describes TS^{beta + item_at_rank_r}.
     frame.touched.clear();
     for (const PathRef& pr : frame.paths) {
-      if (pr.ts->empty()) continue;
+      if (pr.ts.empty()) continue;
       frame.path_runs.clear();
-      AppendSortedRuns(*pr.ts, &frame.path_runs);
+      AppendSortedRuns(pr.ts, &frame.path_runs);
       const uint32_t* path_ranks = frame.rank_storage.data() + pr.ranks_begin;
       for (uint32_t k = 0; k < pr.ranks_len; ++k) {
         const uint32_t r = path_ranks[k];
@@ -380,7 +397,7 @@ class Miner {
       }
       if (frame.mapped.empty()) continue;
       std::sort(frame.mapped.begin(), frame.mapped.end());
-      cond.InsertPath(frame.mapped, *pr.ts);
+      cond.InsertPath(frame.mapped, pr.ts);
     }
     ++result_->stats.conditional_trees;
     QueryBudget* budget = checkpoint_.budget();
@@ -466,8 +483,8 @@ void MineSequentialTopLevel(TsPrefixTree* tree, Miner* miner,
 /// Parallel mining phase: decompose the tree into per-suffix-item
 /// projections and mine them on `threads` workers with per-projection
 /// results, then commit. Counters sum to exactly the sequential values
-/// because every subproblem is counted once, on whichever worker runs it
-/// (ts_beta merges are counted during projection, where they happen).
+/// because every subproblem, its TS^beta merge included, is counted once,
+/// on whichever worker runs it. Workers read the consumed tree's nodes.
 ///
 /// Budget governance commits the longest prefix (in bottom-up order —
 /// the order ProjectSuffixItems returns) of subproblems that completed
@@ -478,21 +495,18 @@ void MineSequentialTopLevel(TsPrefixTree* tree, Miner* miner,
 void MineParallel(TsPrefixTree* tree, const RpParams& params,
                   const RpGrowthOptions& options, size_t threads,
                   RpGrowthResult* result) {
-  MergeCounters projection_counters;
-  std::vector<SuffixProjection> projections =
-      ProjectSuffixItems(tree, &projection_counters);
-  result->stats.merge_invocations += projection_counters.merge_invocations;
-  result->stats.runs_merged += projection_counters.runs_merged;
-  result->stats.timestamps_merged += projection_counters.timestamps_merged;
+  Stopwatch sweep;  // Serial mining CPU time, counted as such.
+  std::vector<SuffixProjection> projections = ProjectSuffixItems(tree);
+  result->stats.mine_cpu_seconds += sweep.ElapsedSeconds();
 
   // Heaviest projections first (LPT scheduling): with dynamic work
   // pulling this bounds the makespan tail by the single largest
-  // subproblem. |TS^beta| is the cost proxy; ties keep bottom-up order,
-  // so the schedule is deterministic.
+  // subproblem. |TS^beta| (the slab size) is the cost proxy; ties keep
+  // bottom-up order, so the schedule is deterministic.
   std::vector<size_t> order(projections.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return projections[a].ts_beta.size() > projections[b].ts_beta.size();
+    return projections[a].ts.size() > projections[b].ts.size();
   });
 
   // Workers share one serialized sink; discovery order across workers is
@@ -543,9 +557,9 @@ void MineParallel(TsPrefixTree* tree, const RpParams& params,
         Subproblem& sub = subs[order[i]];
         Miner miner(params, worker_options, &sub.local, &scratches[worker]);
         sub.outcome =
-            miner.MineProjection(items_by_rank, &projection, worker_headroom);
+            miner.MineProjection(items_by_rank, projection, worker_headroom);
         sub.emitted = miner.subproblem_emitted();
-        projection = SuffixProjection();  // Release the snapshot eagerly.
+        projection = SuffixProjection();  // Release the slab eagerly.
         busy_seconds[worker] += stopwatch.ElapsedSeconds();
       },
       should_stop);

@@ -105,9 +105,9 @@ struct RpGrowthStats {
   double tree_seconds = 0.0;        ///< Wall clock of RP-tree construction.
   /// Wall clock of the mining phase (projection + workers when parallel).
   double mine_seconds = 0.0;
-  /// Mining time summed across workers. Equals mine_seconds on one
-  /// thread; exceeds it under parallelism (the ratio is the effective
-  /// mining-phase speedup).
+  /// Mining time summed across workers, plus the sequential projection
+  /// sweep. Equals mine_seconds on one thread; exceeds it under
+  /// parallelism (the ratio is the effective mining-phase speedup).
   double mine_cpu_seconds = 0.0;
   /// End-to-end wall clock, measured on its own stopwatch — NOT the sum
   /// of the phase timers, so parallel speedup stays visible even if

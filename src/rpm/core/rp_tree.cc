@@ -67,7 +67,7 @@ void TsPrefixTree::InsertTransaction(const std::vector<uint32_t>& ranks,
 }
 
 void TsPrefixTree::InsertPath(const std::vector<uint32_t>& ranks,
-                              const TimestampList& ts_list) {
+                              std::span<const Timestamp> ts_list) {
   if (ranks.empty()) return;
   Node* node = root_;
   for (uint32_t rank : ranks) {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rpm/core/arena.h"
@@ -73,7 +74,7 @@ class TsPrefixTree {
   /// Inserts a whole prefix path carrying an accumulated ts-list
   /// (conditional-tree construction). Lists of coinciding paths merge.
   void InsertPath(const std::vector<uint32_t>& ranks,
-                  const TimestampList& ts_list);
+                  std::span<const Timestamp> ts_list);
 
   /// Head of the node-link chain for `rank` (nullptr when absent).
   const Node* HeadOfRank(size_t rank) const { return heads_[rank]; }
@@ -97,25 +98,12 @@ class TsPrefixTree {
     }
   }
 
-  /// ForEachNodeOfRank with early exit: fn returns false to stop the walk
-  /// (budget-governed miners abandon a rank mid-walk instead of paying for
-  /// the full node chain after a stop request).
-  template <typename Fn>
-  void ForEachNodeOfRankWhile(size_t rank, Fn&& fn) const {
-    std::vector<uint32_t> path;
-    for (const Node* n = heads_[rank]; n != nullptr; n = n->next_link) {
-      path.clear();
-      for (const Node* a = n->parent; a != root_; a = a->parent) {
-        path.push_back(a->rank);
-      }
-      std::reverse(path.begin(), path.end());
-      if (!fn(path, n->ts_list)) return;
-    }
-  }
-
   /// Pushes every ts-list of `rank` to the respective parent and detaches
   /// the nodes (Algorithm 4 line 9 / Lemma 3). After this, HeadOfRank(rank)
   /// is nullptr. Precondition: all deeper ranks were already removed.
+  /// Never writes a node's `parent` or `rank`: a detached node's ancestor
+  /// path stays readable until the tree dies (ProjectSuffixItems relies
+  /// on this).
   void PushUpAndRemove(size_t rank);
 
   /// Deep copy into a fresh arena. Node-link chains are reproduced in the

@@ -98,7 +98,8 @@ Timestamp* MergeTwo(TsRun a, TsRun b, Timestamp* dst) {
 
 }  // namespace
 
-void AppendSortedRuns(const TimestampList& ts, std::vector<TsRun>* runs) {
+void AppendSortedRuns(std::span<const Timestamp> ts,
+                      std::vector<TsRun>* runs) {
   const Timestamp* data = ts.data();
   const size_t n = ts.size();
   size_t begin = 0;

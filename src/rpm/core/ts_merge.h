@@ -23,6 +23,7 @@
 #define RPM_CORE_TS_MERGE_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "rpm/timeseries/types.h"
@@ -64,7 +65,8 @@ struct MergeScratch {
 /// Splits `ts` into its maximal non-decreasing runs and appends one TsRun
 /// per run to *runs. A sorted list contributes exactly one run; an empty
 /// list contributes none. The runs alias `ts`'s storage.
-void AppendSortedRuns(const TimestampList& ts, std::vector<TsRun>* runs);
+void AppendSortedRuns(std::span<const Timestamp> ts,
+                      std::vector<TsRun>* runs);
 
 /// Merges `num_runs` sorted runs into *out, replacing its contents. The
 /// result is exactly what concatenating the runs and std::sort-ing would

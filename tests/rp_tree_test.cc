@@ -141,8 +141,8 @@ TEST(TsPrefixTreeTest, CollectedTimestampsCoverEachTransactionOnce) {
 
 TEST(TsPrefixTreeTest, InsertPathMergesIdenticalPaths) {
   TsPrefixTree tree({10, 20});
-  tree.InsertPath({0, 1}, {5, 7});
-  tree.InsertPath({0, 1}, {9});
+  tree.InsertPath({0, 1}, TimestampList{5, 7});
+  tree.InsertPath({0, 1}, TimestampList{9});
   EXPECT_EQ(tree.NodeCount(), 2u);
   size_t calls = 0;
   tree.ForEachNodeOfRank(
@@ -157,7 +157,7 @@ TEST(TsPrefixTreeTest, InsertPathMergesIdenticalPaths) {
 TEST(TsPrefixTreeTest, EmptyInsertIsNoOp) {
   TsPrefixTree tree({10});
   tree.InsertTransaction({}, 1);
-  tree.InsertPath({}, {1, 2});
+  tree.InsertPath({}, TimestampList{1, 2});
   EXPECT_TRUE(tree.empty());
 }
 
