@@ -11,10 +11,14 @@
 // on noise), the bench exits nonzero. It also re-checks purity: a budget
 // that never trips must not change a single pattern.
 //
-// Interleaved A/B repetitions, min-of-reps per variant (the min is the
-// stablest location estimate for a cold-cache-free microbench). Emits
-// BENCH_governance.json (bench_util.h JsonRecords).
+// Paired A/B repetitions: each rep runs both variants back to back, in
+// alternating order, and the estimate per query is the median of the
+// paired differences over the median baseline. A pair shares the host's
+// speed phase, and the median ignores the pairs a slow phase splits; a
+// min-of-reps per variant swings by several percent between runs on a
+// shared host. Emits BENCH_governance.json (bench_util.h JsonRecords).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -33,7 +37,7 @@ constexpr double kGateAbsSeconds = 0.001;
 
 size_t RepsFromEnv() {
   const char* env = std::getenv("RPM_BENCH_REPS");
-  if (env == nullptr) return 5;
+  if (env == nullptr) return 41;
   long reps = std::atol(env);
   return reps < 1 ? 1 : static_cast<size_t>(reps);
 }
@@ -69,6 +73,13 @@ Sample RunOnce(const rpm::TransactionDatabase& db, const rpm::RpParams& params,
   return sample;
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
 }  // namespace
 
 int main() {
@@ -77,7 +88,7 @@ int main() {
   const size_t reps = RepsFromEnv();
   PrintHeader("Governance overhead: budget checkpoints armed vs ungoverned",
               "resource-governed mining (DESIGN.md §7); dataset of Fig. 7-9");
-  std::printf("scale %.3f, %zu interleaved reps per variant, gate %.1f%%\n\n",
+  std::printf("scale %.3f, %zu paired reps per query, gate %.1f%%\n\n",
               scale, reps, kGatePct);
 
   rpm::gen::GeneratedHashtagStream twitter = rpm::gen::MakeTwitter(scale);
@@ -106,32 +117,37 @@ int main() {
       std::fprintf(stderr, "PURITY VIOLATION: unhit budget changed results\n");
       pure = false;
     }
-    double base_min = cold_base.mine_seconds;
-    double gov_min = cold_gov.mine_seconds;
+    std::vector<double> base_samples;
+    std::vector<double> deltas;
     uint64_t checkpoints = cold_gov.checkpoints;
     for (size_t r = 0; r < reps; ++r) {
-      const Sample b = RunOnce(twitter.db, params, false);
-      const Sample g = RunOnce(twitter.db, params, true);
-      base_min = std::min(base_min, b.mine_seconds);
-      gov_min = std::min(gov_min, g.mine_seconds);
+      const bool governed_first = r % 2 == 1;
+      const Sample first = RunOnce(twitter.db, params, governed_first);
+      const Sample second = RunOnce(twitter.db, params, !governed_first);
+      const Sample& b = governed_first ? second : first;
+      const Sample& g = governed_first ? first : second;
+      base_samples.push_back(b.mine_seconds);
+      deltas.push_back(g.mine_seconds - b.mine_seconds);
       checkpoints = g.checkpoints;
     }
-    baseline_total += base_min;
-    governed_total += gov_min;
+    const double base_s = Median(base_samples);
+    const double gov_s = base_s + Median(deltas);
+    baseline_total += base_s;
+    governed_total += gov_s;
     const double overhead_pct =
-        base_min > 0.0 ? (gov_min - base_min) / base_min * 100.0 : 0.0;
+        base_s > 0.0 ? (gov_s - base_s) / base_s * 100.0 : 0.0;
     const std::string label =
         "minPS=" + std::to_string(params.min_ps) +
         " minRec=" + std::to_string(params.min_rec);
     std::printf("%-28s %10zu %14.4f %14.4f %8.2f%% %12llu\n", label.c_str(),
-                cold_base.patterns, base_min * 1e3, gov_min * 1e3,
+                cold_base.patterns, base_s * 1e3, gov_s * 1e3,
                 overhead_pct, static_cast<unsigned long long>(checkpoints));
     std::fflush(stdout);
     json.BeginRecord();
     json.Add("query", label);
     json.Add("patterns", cold_base.patterns);
-    json.Add("baseline_mine_seconds", base_min);
-    json.Add("governed_mine_seconds", gov_min);
+    json.Add("baseline_mine_seconds", base_s);
+    json.Add("governed_mine_seconds", gov_s);
     json.Add("overhead_pct", overhead_pct);
     json.Add("checkpoints", checkpoints);
   }

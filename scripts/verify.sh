@@ -151,13 +151,19 @@ UBSAN_OPTIONS=halt_on_error=1 \
 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-ubsan/src/rpminer verify --faults=200 --seed=7
 
-echo "== stage 8: AddressSanitizer over the fault campaign =="
+echo "== stage 8: AddressSanitizer over the parsers + fault campaign =="
 # ASan is the natural probe for the injected-bad_alloc recovery paths:
 # a leaked node arena or a use-after-rollback in the prefix-commit walk
-# surfaces here even when behavior looks clean.
+# surfaces here even when behavior looks clean. The SPMF loader walks raw
+# pointers over one input buffer, so the reader suites (including the
+# differential loader test and the garbage-input rounds) run here too.
 cmake -B build-asan -S . -DRPM_SANITIZE=address \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-asan -j"${JOBS}" --target rpminer
+cmake --build build-asan -j"${JOBS}" --target rpminer io_test \
+      robustness_test
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/io_test
+ASAN_OPTIONS=detect_leaks=1 \
+  ./build-asan/tests/robustness_test --gtest_filter='ParserRobustnessTest.*'
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/src/rpminer verify --cases=200 --seed=7
 ASAN_OPTIONS=detect_leaks=1 \

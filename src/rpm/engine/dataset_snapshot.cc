@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "rpm/common/stopwatch.h"
 #include "rpm/timeseries/io/spmf_io.h"
 #include "rpm/timeseries/io/timestamped_csv_io.h"
 #include "rpm/timeseries/tdb_builder.h"
@@ -10,20 +9,7 @@
 namespace rpm::engine {
 
 DatasetSnapshot::DatasetSnapshot(TransactionDatabase db)
-    : db_(std::move(db)) {
-  Stopwatch build;
-  item_ts_.resize(db_.ItemUniverseSize());
-  // Transactions are sorted by strictly increasing timestamp with
-  // duplicate-free item sets, so one append pass yields sorted,
-  // duplicate-free TS^{item} lists.
-  for (const Transaction& tr : db_.transactions()) {
-    for (ItemId item : tr.items) {
-      item_ts_[item].push_back(tr.ts);
-      ++total_occurrences_;
-    }
-  }
-  build_seconds_ = build.ElapsedSeconds();
-}
+    : db_(std::move(db)) {}
 
 std::shared_ptr<const DatasetSnapshot> DatasetSnapshot::Create(
     TransactionDatabase db) {

@@ -1,15 +1,13 @@
 // Immutable, shared view of a loaded transaction database — the *data*
 // half of the query engine's data/query lifecycle split (DESIGN.md §6).
 //
-// RP-growth's cost is dominated by query-independent work: scanning the
-// TDB, building per-item indexes and constructing the prefix tree. A
-// DatasetSnapshot is created once per loaded dataset and then shared
+// A DatasetSnapshot is created once per loaded dataset and then shared
 // (shared_ptr, strictly read-only) by any number of query sessions,
-// planners and executor threads. Everything derivable from the raw
-// transactions alone — canonical transactions, the item dictionary,
-// per-item ts-lists and supports, series span — is computed at snapshot
-// build time; threshold-dependent structures (RP-list, RP-tree) live in
-// QueryPlanner caches keyed by query parameters.
+// planners and executor threads. It holds only what the loader produced:
+// the canonical transactions and the item dictionary. Every index the
+// miners read depends on the query's thresholds (the RP-list, and the
+// RP-tree built in its order), so those structures live in QueryPlanner
+// caches keyed by query parameters, not here.
 
 #ifndef RPM_ENGINE_DATASET_SNAPSHOT_H_
 #define RPM_ENGINE_DATASET_SNAPSHOT_H_
@@ -17,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "rpm/common/status.h"
 #include "rpm/timeseries/transaction_database.h"
@@ -52,31 +49,10 @@ class DatasetSnapshot {
   Timestamp start_ts() const { return db_.start_ts(); }
   Timestamp end_ts() const { return db_.end_ts(); }
 
-  /// TS^{item}, precomputed at snapshot build: sorted, duplicate-free.
-  /// Items outside the universe return an empty list.
-  const TimestampList& ItemTimestamps(ItemId item) const {
-    return item < item_ts_.size() ? item_ts_[item] : empty_;
-  }
-
-  /// Sup({item}) without a database scan.
-  uint64_t ItemSupport(ItemId item) const {
-    return item < item_ts_.size() ? item_ts_[item].size() : 0;
-  }
-
-  /// Total item occurrences (sum of per-item supports).
-  uint64_t TotalItemOccurrences() const { return total_occurrences_; }
-
-  /// Wall clock spent building the per-item indexes.
-  double build_seconds() const { return build_seconds_; }
-
  private:
   explicit DatasetSnapshot(TransactionDatabase db);
 
   TransactionDatabase db_;
-  std::vector<TimestampList> item_ts_;
-  uint64_t total_occurrences_ = 0;
-  double build_seconds_ = 0.0;
-  TimestampList empty_;
 };
 
 }  // namespace rpm::engine

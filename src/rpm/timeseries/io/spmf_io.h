@@ -44,6 +44,10 @@ struct SpmfParseOptions {
 /// kInvalidItem id (4294967295) is rejected — accepting it verbatim would
 /// wrap every dense per-item array downstream. CRLF line endings and
 /// trailing whitespace are tolerated in all modes.
+///
+/// Each reader takes the whole input into one buffer and parses it in one
+/// pass, so the input's size is held in memory until the database is
+/// built.
 
 /// Reads the plain format; timestamps are 1-based line numbers (counting
 /// only transaction lines).

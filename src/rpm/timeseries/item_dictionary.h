@@ -5,7 +5,6 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "rpm/common/status.h"
@@ -17,6 +16,8 @@ namespace rpm {
 ///
 /// Mining operates on ids; the dictionary is consulted only at the
 /// input/report boundaries. Copyable; ids are stable once assigned.
+/// Looking up a name already interned allocates nothing, so a reader can
+/// intern every token straight from its input buffer.
 class ItemDictionary {
  public:
   ItemDictionary() = default;
@@ -37,8 +38,16 @@ class ItemDictionary {
   bool empty() const { return names_.empty(); }
 
  private:
+  /// The slot holding `name`'s id, or the empty slot where it belongs.
+  /// Precondition: !slots_.empty().
+  size_t FindSlot(std::string_view name) const;
+  /// Resizes `slots_` to keep it at most half full and re-inserts every id.
+  void Rehash();
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, ItemId> ids_;
+  /// Open-addressing table with linear probing: a power-of-two number of
+  /// slots, each holding an index into names_ or kInvalidItem when empty.
+  std::vector<ItemId> slots_;
 };
 
 }  // namespace rpm

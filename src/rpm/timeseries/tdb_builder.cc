@@ -1,16 +1,26 @@
 #include "rpm/timeseries/tdb_builder.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace rpm {
 
+Itemset& TdbBuilder::RowAt(Timestamp ts) {
+  if (!rows_.empty()) {
+    if (rows_.back().ts == ts) return rows_.back().items;
+    if (rows_.back().ts > ts) in_order_ = false;
+  }
+  rows_.push_back({ts, {}});
+  return rows_.back().items;
+}
+
 void TdbBuilder::AddEvent(ItemId item, Timestamp ts) {
-  grouped_[ts].push_back(item);
+  RowAt(ts).push_back(item);
 }
 
 void TdbBuilder::AddTransaction(Timestamp ts, const Itemset& items) {
-  Itemset& slot = grouped_[ts];
-  slot.insert(slot.end(), items.begin(), items.end());
+  Itemset& row = RowAt(ts);
+  row.insert(row.end(), items.begin(), items.end());
 }
 
 void TdbBuilder::AddSequence(const EventSequence& sequence) {
@@ -18,16 +28,42 @@ void TdbBuilder::AddSequence(const EventSequence& sequence) {
 }
 
 TransactionDatabase TdbBuilder::Build(ItemDictionary dictionary) {
-  std::vector<Transaction> transactions;
-  transactions.reserve(grouped_.size());
-  for (auto& [ts, items] : grouped_) {
-    std::sort(items.begin(), items.end());
-    items.erase(std::unique(items.begin(), items.end()), items.end());
-    if (items.empty()) continue;  // A timestamp with no events: no row.
-    transactions.push_back({ts, std::move(items)});
+  std::vector<Transaction> rows = std::move(rows_);
+  rows_.clear();
+  if (!in_order_) {
+    in_order_ = true;
+    std::sort(rows.begin(), rows.end(),
+              [](const Transaction& a, const Transaction& b) {
+                return a.ts < b.ts;
+              });
+    // Fold each run of rows sharing a timestamp into its first row.
+    size_t kept = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (kept > 0 && rows[kept - 1].ts == rows[i].ts) {
+        Itemset& into = rows[kept - 1].items;
+        into.insert(into.end(), rows[i].items.begin(), rows[i].items.end());
+      } else {
+        if (kept != i) rows[kept] = std::move(rows[i]);
+        ++kept;
+      }
+    }
+    rows.erase(rows.begin() + kept, rows.end());
   }
-  grouped_.clear();
-  return TransactionDatabase(std::move(transactions), std::move(dictionary));
+  for (Transaction& row : rows) {
+    Itemset& items = row.items;
+    if (std::adjacent_find(items.begin(), items.end(),
+                           std::greater_equal<>()) != items.end()) {
+      std::sort(items.begin(), items.end());
+      items.erase(std::unique(items.begin(), items.end()), items.end());
+    }
+  }
+  // A timestamp with no events produces no row.
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [](const Transaction& row) {
+                              return row.items.empty();
+                            }),
+             rows.end());
+  return TransactionDatabase(std::move(rows), std::move(dictionary));
 }
 
 TransactionDatabase BuildTdbFromSequence(const EventSequence& sequence,

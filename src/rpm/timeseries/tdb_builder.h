@@ -5,7 +5,6 @@
 #ifndef RPM_TIMESERIES_TDB_BUILDER_H_
 #define RPM_TIMESERIES_TDB_BUILDER_H_
 
-#include <map>
 #include <vector>
 
 #include "rpm/common/status.h"
@@ -20,6 +19,11 @@ namespace rpm {
 /// on the same timestamp, deduplicates items, drops nothing else — exactly
 /// the information-preserving conversion of Example 2 (timestamps with no
 /// events simply produce no transaction).
+///
+/// Rows are appended in arrival order; additions at the timestamp of the
+/// last row join that row. Build() sorts and merges rows only when a
+/// timestamp arrived out of order, so in-order input (every reader and
+/// generator) costs one append per row.
 class TdbBuilder {
  public:
   TdbBuilder() = default;
@@ -33,15 +37,22 @@ class TdbBuilder {
   /// Adds a whole event sequence.
   void AddSequence(const EventSequence& sequence);
 
-  /// Number of distinct timestamps accumulated so far.
-  size_t PendingTransactions() const { return grouped_.size(); }
+  /// Rows accumulated so far: the number of distinct timestamps when they
+  /// arrived in order, more when Build() still has rows to merge.
+  size_t PendingTransactions() const { return rows_.size(); }
 
   /// Produces the database and resets the builder. `dictionary` (optional)
   /// is attached to the result.
   TransactionDatabase Build(ItemDictionary dictionary = {});
 
  private:
-  std::map<Timestamp, Itemset> grouped_;
+  /// The row for `ts`: the last row when it has that timestamp, else a new
+  /// one appended after it.
+  Itemset& RowAt(Timestamp ts);
+
+  std::vector<Transaction> rows_;
+  /// True while rows_ timestamps are strictly increasing.
+  bool in_order_ = true;
 };
 
 /// One-shot conversion (Definition 1-2 path): time series in, TDB out.

@@ -10,6 +10,7 @@ namespace {
 using ::rpm::testing::A;
 using ::rpm::testing::B;
 using ::rpm::testing::C;
+using ::rpm::testing::D;
 
 TEST(TdbBuilderTest, GroupsEventsByTimestamp) {
   TdbBuilder builder;
@@ -52,6 +53,23 @@ TEST(TdbBuilderTest, AddTransactionMergesIntoExistingTimestamp) {
   TransactionDatabase db = builder.Build();
   ASSERT_EQ(db.size(), 1u);
   EXPECT_EQ(db.transaction(0).items, (Itemset{A, B, C}));
+}
+
+TEST(TdbBuilderTest, MergesRepeatedTimestampsArrivingOutOfOrder) {
+  TdbBuilder builder;
+  builder.AddTransaction(5, {C, A});
+  builder.AddTransaction(2, {});
+  builder.AddEvent(B, 3);
+  builder.AddTransaction(5, {A, B});
+  builder.AddTransaction(2, {});  // Still no events at ts 2: no row.
+  builder.AddEvent(D, 3);
+  TransactionDatabase db = builder.Build();
+  ASSERT_EQ(db.size(), 2u);
+  EXPECT_EQ(db.transaction(0), (Transaction{3, {B, D}}));
+  EXPECT_EQ(db.transaction(1), (Transaction{5, {A, B, C}}));
+  // The builder is reusable after an out-of-order batch.
+  builder.AddEvent(A, 1);
+  EXPECT_EQ(builder.Build().transaction(0), (Transaction{1, {A}}));
 }
 
 TEST(TdbBuilderTest, BuildResetsBuilder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_util.h"
 
 namespace rpm {
@@ -75,6 +77,32 @@ TEST(TransactionDatabaseTest, DictionaryNames) {
   TransactionDatabase db = PaperExampleDb();
   EXPECT_EQ(db.dictionary().NameOf(A), "a");
   EXPECT_EQ(db.dictionary().NameOf(G), "g");
+}
+
+TEST(ItemDictionaryTest, InternsManyNamesInFirstAppearanceOrder) {
+  // Enough names to grow the intern table several times, including names
+  // that share prefixes and lengths.
+  auto name_of = [](int i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    return name;
+  };
+  ItemDictionary dict;
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(dict.GetOrAdd(name_of(i)), static_cast<ItemId>(i));
+  }
+  const ItemDictionary copy = dict;
+  for (int i = 4999; i >= 0; --i) {
+    const std::string name = name_of(i);
+    EXPECT_EQ(dict.GetOrAdd(name), static_cast<ItemId>(i));
+    Result<ItemId> found = copy.Lookup(name);
+    ASSERT_TRUE(found.ok()) << name;
+    EXPECT_EQ(*found, static_cast<ItemId>(i));
+    EXPECT_EQ(copy.NameOf(static_cast<ItemId>(i)), name);
+  }
+  EXPECT_EQ(dict.size(), 5000u);
+  EXPECT_TRUE(copy.Lookup("n5000").status().IsNotFound());
+  EXPECT_TRUE(ItemDictionary().Lookup("n0").status().IsNotFound());
 }
 
 TEST(ContainsAllTest, SubsetDetection) {
