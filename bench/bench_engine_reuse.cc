@@ -5,16 +5,16 @@
 // any divergence — a speedup that changes results is worthless):
 //
 //   repeat  — the dashboard regime: the same query re-executed against a
-//             warm session. Reuse replaces the RP-list scan + RP-tree
-//             build with a flat-map tree clone, so the speedup is the
-//             build fraction of the standalone run.
+//             warm session. Reuse skips the RP-list scan + RP-tree
+//             build and mines the cached sealed tree in place, so the
+//             speedup is the build fraction of the standalone run.
 //   sweep   — the drill-down regime: a loosest-first minPS x minRec grid
 //             through ONE session (one tree build serves the whole grid).
 //             Strict re-queries save the build but mine the looser tree,
 //             so per-query gains shrink as the gap to the build point
 //             grows — the report makes that tradeoff visible rather than
 //             hiding it.
-//   top-k   — threshold descent: every round clones the session's one
+//   top-k   — threshold descent: every round mines the session's one
 //             floor build instead of re-scanning the database per round.
 //
 // Emits BENCH_engine_reuse.json (bench_util.h JsonRecords); EXPERIMENTS.md

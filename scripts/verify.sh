@@ -128,7 +128,10 @@ cmake --build build-tsan -j"${JOBS}" --target rp_growth_parallel_test \
       engine_test governance_test windowed_miner_test \
       serve_server_test planner_stress_test rpminer
 ./build-tsan/tests/rp_growth_parallel_test
-# Concurrent QuerySession::Run over one shared snapshot/planner.
+# Concurrent QuerySession::Run over one shared snapshot/planner, and
+# concurrent mines (1- and 4-thread, stricter params, top-k descents
+# through both executors) of one cached sealed tree that nothing clones
+# (EngineConcurrencyTest).
 ./build-tsan/tests/engine_test
 # Budget checkpoints and prefix-commit truncation under TSan.
 ./build-tsan/tests/governance_test
@@ -157,13 +160,18 @@ echo "== stage 8: AddressSanitizer over the parsers + fault campaign =="
 # surfaces here even when behavior looks clean. The SPMF loader walks raw
 # pointers over one input buffer, so the reader suites (including the
 # differential loader test and the garbage-input rounds) run here too.
+# The sealed RP-tree is index arithmetic into one timestamp slab, so the
+# tree suite (with its differential layout test) and the parallel miner
+# suite run here as well.
 cmake -B build-asan -S . -DRPM_SANITIZE=address \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j"${JOBS}" --target rpminer io_test \
-      robustness_test
+      robustness_test rp_tree_test rp_growth_parallel_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/io_test
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/tests/robustness_test --gtest_filter='ParserRobustnessTest.*'
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_tree_test
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_parallel_test
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/src/rpminer verify --cases=200 --seed=7
 ASAN_OPTIONS=detect_leaks=1 \

@@ -1,6 +1,7 @@
 #include "rpm/baselines/pf_growth.h"
 
 #include <algorithm>
+#include <span>
 
 #include "rpm/common/logging.h"
 #include "rpm/common/stopwatch.h"
@@ -31,7 +32,7 @@ namespace {
 
 struct PathRef {
   std::vector<uint32_t> ranks;
-  const TimestampList* ts;
+  std::span<const Timestamp> ts;
 };
 
 class PfMiner {
@@ -43,11 +44,11 @@ class PfMiner {
         db_end_(db_end),
         result_(result) {}
 
-  void MineTree(TsPrefixTree* tree, Itemset* suffix) {
-    for (size_t rank = tree->num_ranks(); rank-- > 0;) {
-      if (tree->HeadOfRank(rank) != nullptr) {
+  /// Bottom-up over the sealed tree; its layout makes push-up implicit.
+  void MineTree(const TsPrefixTree& tree, Itemset* suffix) {
+    for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+      if (tree.RankBegin(rank) != tree.RankEnd(rank)) {
         ProcessRank(tree, rank, suffix);
-        tree->PushUpAndRemove(rank);
       }
     }
   }
@@ -60,19 +61,24 @@ class PfMiner {
                params_.max_per;
   }
 
-  void ProcessRank(TsPrefixTree* tree, size_t rank, Itemset* suffix) {
+  void ProcessRank(const TsPrefixTree& tree, size_t rank, Itemset* suffix) {
     std::vector<PathRef> paths;
     TimestampList ts_beta;
-    tree->ForEachNodeOfRank(
-        rank, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-          paths.push_back({path, &ts});
-          ts_beta.insert(ts_beta.end(), ts.begin(), ts.end());
-        });
+    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+      PathRef& pr = paths.emplace_back();
+      for (uint32_t a = tree.LinkOf(n).parent; a != TsPrefixTree::kNoParent;
+           a = tree.LinkOf(a).parent) {
+        pr.ranks.push_back(tree.LinkOf(a).rank);
+      }
+      std::reverse(pr.ranks.begin(), pr.ranks.end());
+      pr.ts = tree.ListOf(n);
+      ts_beta.insert(ts_beta.end(), pr.ts.begin(), pr.ts.end());
+    }
     if (ts_beta.empty()) return;
     std::sort(ts_beta.begin(), ts_beta.end());
     if (!Accept(ts_beta)) return;
 
-    suffix->push_back(tree->ItemAtRank(rank));
+    suffix->push_back(tree.ItemAtRank(rank));
     PeriodicFrequentPattern pattern;
     pattern.items = *suffix;
     std::sort(pattern.items.begin(), pattern.items.end());
@@ -84,16 +90,16 @@ class PfMiner {
     suffix->pop_back();
   }
 
-  void BuildConditionalAndRecurse(TsPrefixTree* tree,
+  void BuildConditionalAndRecurse(const TsPrefixTree& tree,
                                   const std::vector<PathRef>& paths,
                                   Itemset* suffix) {
-    const size_t nranks = tree->num_ranks();
+    const size_t nranks = tree.num_ranks();
     std::vector<TimestampList> acc(nranks);
     std::vector<uint32_t> touched;
     for (const PathRef& pr : paths) {
       for (uint32_t r : pr.ranks) {
         if (acc[r].empty()) touched.push_back(r);
-        acc[r].insert(acc[r].end(), pr.ts->begin(), pr.ts->end());
+        acc[r].insert(acc[r].end(), pr.ts.begin(), pr.ts.end());
       }
     }
     if (touched.empty()) return;
@@ -113,9 +119,9 @@ class PfMiner {
     std::vector<ItemId> items_by_rank(kept.size());
     for (uint32_t nr = 0; nr < kept.size(); ++nr) {
       new_rank_of[kept[nr]] = nr;
-      items_by_rank[nr] = tree->ItemAtRank(kept[nr]);
+      items_by_rank[nr] = tree.ItemAtRank(kept[nr]);
     }
-    TsPrefixTree cond(std::move(items_by_rank));
+    TsPrefixTree::Builder builder(std::move(items_by_rank));
     std::vector<uint32_t> mapped;
     for (const PathRef& pr : paths) {
       mapped.clear();
@@ -124,9 +130,10 @@ class PfMiner {
       }
       if (mapped.empty()) continue;
       std::sort(mapped.begin(), mapped.end());
-      cond.InsertPath(mapped, *pr.ts);
+      builder.InsertPath(mapped, pr.ts);
     }
-    if (!cond.empty()) MineTree(&cond, suffix);
+    const TsPrefixTree cond = std::move(builder).Seal();
+    if (!cond.empty()) MineTree(cond, suffix);
   }
 
   const PfParams& params_;
@@ -195,7 +202,7 @@ PfGrowthResult MinePeriodicFrequentPatterns(const TransactionDatabase& db,
     rank_of[candidates[rank].item] = rank;
     items_by_rank[rank] = candidates[rank].item;
   }
-  TsPrefixTree tree(std::move(items_by_rank));
+  TsPrefixTree::Builder builder(std::move(items_by_rank));
   std::vector<uint32_t> ranks;
   for (const Transaction& tr : db.transactions()) {
     ranks.clear();
@@ -203,13 +210,14 @@ PfGrowthResult MinePeriodicFrequentPatterns(const TransactionDatabase& db,
       if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
     }
     std::sort(ranks.begin(), ranks.end());
-    tree.InsertTransaction(ranks, tr.ts);
+    builder.InsertTransaction(ranks, tr.ts);
   }
+  const TsPrefixTree tree = std::move(builder).Seal();
 
   // Bottom-up mining.
   Itemset suffix;
   PfMiner miner(params, db_start, db_end, &result);
-  miner.MineTree(&tree, &suffix);
+  miner.MineTree(tree, &suffix);
 
   std::sort(result.patterns.begin(), result.patterns.end(),
             [](const PeriodicFrequentPattern& a,

@@ -13,7 +13,6 @@
 #include "rpm/common/logging.h"
 #include "rpm/common/stopwatch.h"
 #include "rpm/core/measures.h"
-#include "rpm/core/projection.h"
 #include "rpm/core/rp_tree.h"
 #include "rpm/core/thread_pool.h"
 #include "rpm/core/ts_merge.h"
@@ -23,8 +22,8 @@ namespace {
 
 /// One (prefix path, ts-list) element of a conditional pattern base. The
 /// ancestor ranks live in the owning frame's flat rank storage (no
-/// per-path heap allocation); the ts-list is owned by the tree or a
-/// projection and is a concatenation of sorted runs.
+/// per-path heap allocation); the ts-list is a range of the sealed tree's
+/// slab and is a concatenation of sorted runs.
 struct PathRef {
   uint32_t ranks_begin = 0;  // Offset into the frame's rank storage.
   uint32_t ranks_len = 0;
@@ -131,34 +130,15 @@ class Miner {
   };
 
   /// Mines the top-level subproblem of `rank` (one iteration of
-  /// Algorithm 4's outer loop, minus the push-up — the driver pushes up
-  /// only after a commit). `cap_headroom` is how many patterns this
+  /// Algorithm 4's outer loop). `cap_headroom` is how many patterns this
   /// subproblem may emit before it is doomed to be dropped by the
-  /// max-patterns cut; UINT64_MAX = unlimited.
-  Outcome MineTopRank(TsPrefixTree* tree, size_t rank, Itemset* suffix,
+  /// max-patterns cut; UINT64_MAX = unlimited. Reads `tree` only, so
+  /// workers mine different ranks of one tree concurrently.
+  Outcome MineTopRank(const TsPrefixTree& tree, size_t rank,
                       uint64_t cap_headroom) {
     BeginSubproblem(cap_headroom);
-    ProcessRank(tree, rank, suffix);
-    return CurrentOutcome();
-  }
-
-  /// Mines one top-level projection: the independent subproblem of a
-  /// single suffix item, recorded by ProjectSuffixItems. Collects the base
-  /// from the projection's nodes and ts-list slab exactly as ProcessRank
-  /// collects it from the live tree.
-  Outcome MineProjection(const std::vector<ItemId>& items_by_rank,
-                         const SuffixProjection& projection,
-                         uint64_t cap_headroom) {
-    BeginSubproblem(cap_headroom);
     Itemset suffix;
-    CollectAndMine(
-        items_by_rank, items_by_rank[projection.rank],
-        [&](auto&& add) {
-          for (size_t i = 0; i < projection.nodes.size(); ++i) {
-            if (!add(projection.nodes[i], projection.TsOf(i))) return;
-          }
-        },
-        &suffix);
+    CollectAndMine(tree, rank, &suffix);
     return CurrentOutcome();
   }
 
@@ -191,14 +171,13 @@ class Miner {
   }
 
   /// Algorithm 4 over one conditional tree. `suffix` holds the items of
-  /// alpha; the tree is consumed (ts-lists pushed up, nodes detached) in
-  /// the process.
-  void MineTree(TsPrefixTree* tree, Itemset* suffix) {
-    for (size_t rank = tree->num_ranks(); rank-- > 0;) {
+  /// alpha. Push-up is implicit in the sealed layout: by the time a rank
+  /// is mined, its nodes' slab ranges are the pushed-up lists.
+  void MineTree(const TsPrefixTree& tree, Itemset* suffix) {
+    for (size_t rank = tree.num_ranks(); rank-- > 0;) {
       if (ShouldStop()) return;
-      if (tree->HeadOfRank(rank) != nullptr) {
-        ProcessRank(tree, rank, suffix);
-        tree->PushUpAndRemove(rank);
+      if (tree.RankBegin(rank) != tree.RankEnd(rank)) {
+        CollectAndMine(tree, rank, suffix);
       }
     }
   }
@@ -214,52 +193,36 @@ class Miner {
                                        &scratch_->gate) >= params_.min_rec;
   }
 
-  void ProcessRank(TsPrefixTree* tree, size_t rank, Itemset* suffix) {
-    CollectAndMine(
-        tree->items_by_rank(), tree->ItemAtRank(rank),
-        [&](auto&& add) {
-          for (const TsPrefixTree::Node* n = tree->HeadOfRank(rank);
-               n != nullptr; n = n->next_link) {
-            if (!add(n, n->ts_list)) return;
-          }
-        },
-        suffix);
-  }
-
-  /// Collects the conditional pattern base of suffix item `item` and
-  /// TS^beta's sorted runs in one walk, then merges and mines it.
-  /// `for_each_node(add)` calls add(node, ts-list) per node in chain order
-  /// until add returns false (a budget stop). Ancestor ranks go from the
-  /// parent pointers straight into the frame's flat slab.
-  template <typename ForEachNode>
-  void CollectAndMine(const std::vector<ItemId>& items_by_rank, ItemId item,
-                      ForEachNode&& for_each_node, Itemset* suffix) {
+  /// Collects the conditional pattern base of the item at `rank` and
+  /// TS^beta's sorted runs in one walk over the rank's nodes in chain
+  /// order, then merges and mines it. Ancestor ranks go from the parent
+  /// links straight into the frame's flat slab.
+  void CollectAndMine(const TsPrefixTree& tree, size_t rank,
+                      Itemset* suffix) {
     Frame& frame = scratch_->FrameAt(depth_);
     frame.paths.clear();
     frame.rank_storage.clear();
     frame.beta_runs.clear();
-    for_each_node([&](const TsPrefixTree::Node* node,
-                      std::span<const Timestamp> ts) {
-      if (ShouldStop()) return false;
+    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+      if (ShouldStop()) return;  // Abandoned mid-walk.
+      const std::span<const Timestamp> ts = tree.ListOf(n);
       const size_t begin = frame.rank_storage.size();
-      for (const TsPrefixTree::Node* a = node->parent; a->parent != nullptr;
-           a = a->parent) {
-        frame.rank_storage.push_back(a->rank);
+      for (uint32_t a = tree.LinkOf(n).parent; a != TsPrefixTree::kNoParent;
+           a = tree.LinkOf(a).parent) {
+        frame.rank_storage.push_back(tree.LinkOf(a).rank);
       }
       const size_t len = frame.rank_storage.size() - begin;
-      if (ts.empty() && len == 0) return true;
+      if (ts.empty() && len == 0) continue;
       std::reverse(frame.rank_storage.begin() + begin,
                    frame.rank_storage.end());
       frame.paths.push_back({static_cast<uint32_t>(begin),
                              static_cast<uint32_t>(len), ts});
       AppendSortedRuns(ts, &frame.beta_runs);
-      return true;
-    });
-    if (aborted_ || overflowed_) return;  // Abandoned mid-walk.
+    }
     if (frame.beta_runs.empty()) return;  // No timestamps at this rank.
     MergeSortedRuns(frame.beta_runs.data(), frame.beta_runs.size(),
                     &frame.ts_beta, &scratch_->merge, &scratch_->counters);
-    MineCollected(items_by_rank, frame, item, suffix);
+    MineCollected(tree.items_by_rank(), frame, tree.ItemAtRank(rank), suffix);
   }
 
   /// Tail of CollectAndMine: the fused gate + getRecurrence (Algorithm 5)
@@ -387,7 +350,7 @@ class Miner {
     // their contents so the slabs only pin their high-water capacity.
     for (uint32_t r : frame.touched) frame.acc[r].clear();
 
-    TsPrefixTree cond(std::move(cond_items_by_rank));
+    TsPrefixTree::Builder builder(std::move(cond_items_by_rank));
     for (const PathRef& pr : frame.paths) {
       frame.mapped.clear();
       const uint32_t* path_ranks = frame.rank_storage.data() + pr.ranks_begin;
@@ -397,8 +360,9 @@ class Miner {
       }
       if (frame.mapped.empty()) continue;
       std::sort(frame.mapped.begin(), frame.mapped.end());
-      cond.InsertPath(frame.mapped, pr.ts);
+      builder.InsertPath(frame.mapped, pr.ts);
     }
+    const TsPrefixTree cond = std::move(builder).Seal();
     ++result_->stats.conditional_trees;
     QueryBudget* budget = checkpoint_.budget();
     const size_t cond_bytes = budget != nullptr ? cond.ApproxBytes() : 0;
@@ -408,7 +372,7 @@ class Miner {
     }
     if (!cond.empty()) {
       ++depth_;
-      MineTree(&cond, suffix);
+      MineTree(cond, suffix);
       --depth_;
     }
     if (budget != nullptr) budget->ReleaseTrackedBytes(cond_bytes);
@@ -449,22 +413,20 @@ void FoldScratchStats(const MinerScratch& scratch, RpGrowthStats* stats) {
 /// always the complete patterns of a contiguous bottom-up prefix of
 /// suffix subproblems. Without a budget this degenerates to the plain
 /// loop (headroom infinite, checkpoints a single branch).
-void MineSequentialTopLevel(TsPrefixTree* tree, Miner* miner,
+void MineSequentialTopLevel(const TsPrefixTree& tree, Miner* miner,
                             QueryBudget* budget, RpGrowthResult* result) {
   const uint64_t cap = budget != nullptr ? budget->limits().max_patterns : 0;
   uint64_t committed = 0;
-  Itemset suffix;
-  for (size_t rank = tree->num_ranks(); rank-- > 0;) {
-    if (tree->HeadOfRank(rank) == nullptr) continue;
+  for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+    if (tree.RankBegin(rank) == tree.RankEnd(rank)) continue;
     const size_t patterns_mark = result->patterns.size();
     const size_t emitted_mark = result->stats.patterns_emitted;
     const uint64_t headroom =
         cap == 0 ? std::numeric_limits<uint64_t>::max() : cap - committed;
     const Miner::Outcome outcome =
-        miner->MineTopRank(tree, rank, &suffix, headroom);
+        miner->MineTopRank(tree, rank, headroom);
     if (outcome == Miner::Outcome::kComplete) {
       committed += miner->subproblem_emitted();
-      tree->PushUpAndRemove(rank);
       continue;
     }
     // Drop the subproblem: roll its patterns out of the result. The
@@ -480,33 +442,43 @@ void MineSequentialTopLevel(TsPrefixTree* tree, Miner* miner,
   if (budget != nullptr) budget->AddPatterns(committed);
 }
 
-/// Parallel mining phase: decompose the tree into per-suffix-item
-/// projections and mine them on `threads` workers with per-projection
-/// results, then commit. Counters sum to exactly the sequential values
-/// because every subproblem, its TS^beta merge included, is counted once,
-/// on whichever worker runs it. Workers read the consumed tree's nodes.
+/// Parallel mining phase: workers take the tree's suffix ranks directly
+/// and mine them with per-rank results, then commit. Counters sum to
+/// exactly the sequential values because every subproblem, its TS^beta
+/// merge included, is counted once, on whichever worker runs it. Workers
+/// share the sealed tree read-only.
 ///
-/// Budget governance commits the longest prefix (in bottom-up order —
-/// the order ProjectSuffixItems returns) of subproblems that completed
-/// and fit under the max-patterns cap; everything at and after the first
-/// incomplete or cap-crossing subproblem is dropped, including
-/// completed-but-later subproblems, so a max_patterns cut lands on the
-/// identical subproblem the sequential path cuts at.
-void MineParallel(TsPrefixTree* tree, const RpParams& params,
+/// Budget governance commits the longest prefix (in bottom-up,
+/// descending-rank order) of subproblems that completed and fit under the
+/// max-patterns cap; everything at and after the first incomplete or
+/// cap-crossing subproblem is dropped, including completed-but-later
+/// subproblems, so a max_patterns cut lands on the identical subproblem
+/// the sequential path cuts at.
+void MineParallel(const TsPrefixTree& tree, const RpParams& params,
                   const RpGrowthOptions& options, size_t threads,
                   RpGrowthResult* result) {
-  Stopwatch sweep;  // Serial mining CPU time, counted as such.
-  std::vector<SuffixProjection> projections = ProjectSuffixItems(tree);
-  result->stats.mine_cpu_seconds += sweep.ElapsedSeconds();
+  // Subproblems: every rank holding timestamps, bottom-up. A rank's
+  // weight is the total length of its nodes' lists, |TS^item|.
+  std::vector<uint32_t> ranks;
+  std::vector<size_t> weight;
+  for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+    size_t w = 0;
+    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+      w += tree.ListLength(n);
+    }
+    if (w == 0) continue;
+    ranks.push_back(static_cast<uint32_t>(rank));
+    weight.push_back(w);
+  }
 
-  // Heaviest projections first (LPT scheduling): with dynamic work
+  // Heaviest subproblems first (LPT scheduling): with dynamic work
   // pulling this bounds the makespan tail by the single largest
-  // subproblem. |TS^beta| (the slab size) is the cost proxy; ties keep
-  // bottom-up order, so the schedule is deterministic.
-  std::vector<size_t> order(projections.size());
+  // subproblem. Ties keep bottom-up order, so the schedule is
+  // deterministic.
+  std::vector<size_t> order(ranks.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return projections[a].ts.size() > projections[b].ts.size();
+    return weight[a] > weight[b];
   });
 
   // Workers share one serialized sink; discovery order across workers is
@@ -529,37 +501,34 @@ void MineParallel(TsPrefixTree* tree, const RpParams& params,
   const uint64_t worker_headroom =
       cap == 0 ? std::numeric_limits<uint64_t>::max() : cap;
 
-  /// Per-projection (not per-worker) result so the commit walk below can
+  /// Per-subproblem (not per-worker) result so the commit walk below can
   /// keep the exact bottom-up prefix of completed subproblems.
   struct Subproblem {
     RpGrowthResult local;
     Miner::Outcome outcome = Miner::Outcome::kHardStop;  // = not dispatched.
     uint64_t emitted = 0;
   };
-  std::vector<Subproblem> subs(projections.size());
+  std::vector<Subproblem> subs(ranks.size());
 
-  const size_t workers = std::min(threads, projections.size());
+  const size_t workers = std::min(threads, ranks.size());
   std::vector<MinerScratch> scratches(std::max<size_t>(workers, 1));
   std::vector<double> busy_seconds(scratches.size(), 0.0);
-  const std::vector<ItemId>& items_by_rank = tree->items_by_rank();
   std::function<bool()> should_stop;
   if (budget != nullptr) {
     should_stop = [budget] { return budget->stop_requested(); };
   }
   const size_t participants = ParallelFor(
-      projections.size(), workers,
+      ranks.size(), workers,
       [&](size_t worker, size_t i) {
         if (FailpointTriggered("worker.task")) {
           throw std::runtime_error("injected worker-task fault");
         }
         Stopwatch stopwatch;
-        SuffixProjection& projection = projections[order[i]];
         Subproblem& sub = subs[order[i]];
         Miner miner(params, worker_options, &sub.local, &scratches[worker]);
         sub.outcome =
-            miner.MineProjection(items_by_rank, projection, worker_headroom);
+            miner.MineTopRank(tree, ranks[order[i]], worker_headroom);
         sub.emitted = miner.subproblem_emitted();
-        projection = SuffixProjection();  // Release the slab eagerly.
         busy_seconds[worker] += stopwatch.ElapsedSeconds();
       },
       should_stop);
@@ -671,7 +640,7 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
         << "invalid candidate order";
     rank_of[items_by_rank[rank]] = rank;
   }
-  TsPrefixTree tree(items_by_rank);
+  TsPrefixTree::Builder builder(items_by_rank);
   BudgetCheckpointer checkpoint(budget);
   size_t reported_bytes = 0;
   std::vector<uint32_t> ranks;
@@ -682,9 +651,9 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
       if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
     }
     std::sort(ranks.begin(), ranks.end());
-    tree.InsertTransaction(ranks, tr.ts);
+    builder.InsertTransaction(ranks, tr.ts);
     if (budget != nullptr) {
-      const size_t now = tree.ApproxBytes();
+      const size_t now = builder.ApproxBytes();
       if (now > reported_bytes) {
         budget->AddTrackedBytes(now - reported_bytes);  // May trip memory.
         reported_bytes = now;
@@ -694,11 +663,12 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
   // Net the build-time accounting back out (the peak was captured); the
   // caller re-tracks the finished tree for its mining phase.
   if (budget != nullptr) budget->ReleaseTrackedBytes(reported_bytes);
-  return tree;
+  return std::move(builder).Seal();
 }
 
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
-                                TsPrefixTree tree, const RpParams& params,
+                                const TsPrefixTree& tree,
+                                const RpParams& params,
                                 const RpGrowthOptions& options) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
   RPM_CHECK(params.period == prepared.params.period &&
@@ -723,20 +693,20 @@ RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
     budget->AddTrackedBytes(tree_bytes);  // May trip the memory stop.
   }
 
-  // Bottom-up mining (Algorithm 4): sequentially on this thread, or over
-  // per-suffix-item projections on a worker pool.
+  // Bottom-up mining (Algorithm 4): sequentially on this thread, or with
+  // suffix ranks spread over a worker pool.
   Stopwatch phase;
   const size_t threads = ResolveThreadCount(options.num_threads);
   if (threads <= 1) {
     MinerScratch scratch;
     Miner miner(params, options, &result, &scratch);
-    MineSequentialTopLevel(&tree, &miner, budget, &result);
+    MineSequentialTopLevel(tree, &miner, budget, &result);
     FoldScratchStats(scratch, &result.stats);
     result.stats.mine_seconds = phase.ElapsedSeconds();
     result.stats.mine_cpu_seconds = result.stats.mine_seconds;
     result.stats.threads_used = 1;
   } else {
-    MineParallel(&tree, params, options, threads, &result);
+    MineParallel(tree, params, options, threads, &result);
     result.stats.mine_seconds = phase.ElapsedSeconds();
   }
 
@@ -769,8 +739,8 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
     result.stats.total_seconds = total.ElapsedSeconds();
     return result;
   }
-  RpGrowthResult result = MineFromPrepared(
-      prepared, std::move(prepared.tree), params, options);
+  RpGrowthResult result =
+      MineFromPrepared(prepared, prepared.tree, params, options);
   result.stats.total_seconds = total.ElapsedSeconds();
   return result;
 }

@@ -6,10 +6,11 @@
 //      by the Erec bound (Algorithm 1).
 //   2. A second scan builds the RP-tree over candidate items in
 //      support-descending order (Algorithms 2-3).
-//   3. Bottom-up mining with ts-list push-up: for each suffix item collect
-//      TS^beta, gate on Erec(beta) >= minRec, test the pattern with
-//      getRecurrence (Algorithm 5), build the conditional tree from items
-//      passing the conditional Erec gate, recurse (Algorithm 4).
+//   3. Bottom-up mining over the sealed tree, whose layout makes the
+//      ts-list push-up implicit: for each suffix item collect TS^beta,
+//      gate on Erec(beta) >= minRec, test the pattern with getRecurrence
+//      (Algorithm 5), build the conditional tree from items passing the
+//      conditional Erec gate, recurse (Algorithm 4).
 
 #ifndef RPM_CORE_RP_GROWTH_H_
 #define RPM_CORE_RP_GROWTH_H_
@@ -55,9 +56,9 @@ struct RpGrowthOptions {
   bool store_patterns = true;
   /// Worker threads: 1 = the sequential reference path, 0 = one per
   /// hardware thread, N = exactly N. The RP-list scan and the RP-tree
-  /// build are always sequential; with N > 1 each suffix item's
-  /// conditional database is projected out of the tree and the
-  /// projections are mined concurrently. The pattern set, its
+  /// build are always sequential; with N > 1 the workers take suffix
+  /// items directly and mine them concurrently over the one shared
+  /// tree. The pattern set, its
   /// canonical order and all stats counters are identical for every
   /// value. `sink` callbacks are serialized (never concurrent), but their
   /// *order* is only deterministic at num_threads == 1.
@@ -103,11 +104,11 @@ struct RpGrowthStats {
   size_t scratch_bytes_total = 0;
   double list_seconds = 0.0;        ///< Wall clock of the RP-list scan.
   double tree_seconds = 0.0;        ///< Wall clock of RP-tree construction.
-  /// Wall clock of the mining phase (projection + workers when parallel).
+  /// Wall clock of the mining phase.
   double mine_seconds = 0.0;
-  /// Mining time summed across workers, plus the sequential projection
-  /// sweep. Equals mine_seconds on one thread; exceeds it under
-  /// parallelism (the ratio is the effective mining-phase speedup).
+  /// Mining time summed across workers. Equals mine_seconds on one
+  /// thread; exceeds it under parallelism (the ratio is the effective
+  /// mining-phase speedup).
   double mine_cpu_seconds = 0.0;
   /// End-to-end wall clock, measured on its own stopwatch — NOT the sum
   /// of the phase timers, so parallel speedup stays visible even if
@@ -155,7 +156,8 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
 // stricter params yields the identical pattern set (the Erec bound is
 // anti-monotone and every per-pattern test is evaluated exactly from
 // TS^beta). The engine's planner builds once via PrepareMining and mines
-// many times via MineFromPrepared over tree Clone()s.
+// many times via MineFromPrepared, every time straight off the one sealed
+// tree.
 
 /// Query-independent mining state: the RP-list and the built (unmined)
 /// RP-tree, plus the build-phase stats that an end-to-end run would report.
@@ -167,8 +169,8 @@ struct PreparedMining {
   RpList list;
   /// Candidate order of the tree (rank r holds items_by_rank[r]).
   std::vector<ItemId> items_by_rank;
-  /// The built tree. Mining consumes a tree, so repeated runs mine
-  /// tree.Clone() and leave this master copy untouched.
+  /// The built, sealed tree. Mining only reads it, so one build serves
+  /// any number of mines, concurrent ones included.
   TsPrefixTree tree{std::vector<ItemId>{}};
   // Build-phase stats, folded into every MineFromPrepared result:
   size_t num_items = 0;
@@ -187,13 +189,13 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
                              PruningMode pruning = PruningMode::kErec,
                              QueryBudget* budget = nullptr);
 
-/// Pass 2 only: builds the RP-tree of `db` over an externally supplied
-/// candidate order (every id in `items_by_rank` distinct and <
+/// Pass 2 only: builds and seals the RP-tree of `db` over an externally
+/// supplied candidate order (every id in `items_by_rank` distinct and <
 /// db.ItemUniverseSize()). PrepareMining passes the batch RP-list's
 /// candidate order; callers that time the tree build on its own (benches)
 /// pass the same order from a prepared build.
 /// With a budget, the build checkpoints per transaction and reports the
-/// growing tree's bytes (released again before returning — the caller
+/// builder's growing bytes (released again before returning — the caller
 /// re-tracks the finished tree for the mining phase); a stopped build
 /// returns a partial tree the caller must discard.
 ///
@@ -206,8 +208,9 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              QueryBudget* budget = nullptr,
                              size_t ignored_threads = 1);
 
-/// Pass 3 (bottom-up mining) over `tree`, consumed in the process. `tree`
-/// must come from `prepared` (the master or a Clone()), and `params` must
+/// Pass 3 (bottom-up mining) over `tree`, which is only read, so
+/// concurrent calls may share it. `tree` must be `prepared.tree` (or a
+/// Clone() of it, or the result of RetireBefore on it), and `params` must
 /// be no looser than prepared.params: same period and max_gap_violations,
 /// params.min_ps >= prepared.params.min_ps, params.min_rec >=
 /// prepared.params.min_rec (checked). options.pruning must equal
@@ -218,7 +221,8 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
 /// stats.total_seconds covers only this call (build time is in the folded
 /// list_seconds/tree_seconds).
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
-                                TsPrefixTree tree, const RpParams& params,
+                                const TsPrefixTree& tree,
+                                const RpParams& params,
                                 const RpGrowthOptions& options = {});
 
 }  // namespace rpm

@@ -1,6 +1,8 @@
 #include "rpm/core/rp_tree.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -9,196 +11,216 @@
 
 namespace rpm {
 
-TsPrefixTree::TsPrefixTree(std::vector<ItemId> items_by_rank)
-    : items_by_rank_(std::move(items_by_rank)),
-      heads_(items_by_rank_.size(), nullptr),
-      chain_tails_(items_by_rank_.size(), nullptr) {
-  root_ = arena_.Create();  // Root ("null" label in Algorithm 2).
-  root_->seq = next_seq_++;
-}
+TsPrefixTree::Builder::Builder(std::vector<ItemId> items_by_rank)
+    : items_by_rank_(std::move(items_by_rank)), nodes_(1) {}
 
-TsPrefixTree::Node* TsPrefixTree::GetOrCreateChild(Node* parent,
-                                                   uint32_t rank) {
+uint32_t TsPrefixTree::Builder::GetOrCreateChild(uint32_t parent,
+                                                 uint32_t rank) {
   // Move-to-front: a found child is relinked at the head of its sibling
   // list, so the hot children of a wide parent (the root has one child
   // per candidate item) stay a step or two away. Only sibling order
   // changes; node creation, and with it chain order, stays first-touch.
-  for (Node** slot = &parent->first_child; *slot != nullptr;
-       slot = &(*slot)->next_sibling) {
-    Node* c = *slot;
-    if (c->rank != rank) continue;
-    if (slot != &parent->first_child) {
-      *slot = c->next_sibling;
-      c->next_sibling = parent->first_child;
-      parent->first_child = c;
+  uint32_t* slot = &nodes_[parent].first_child;
+  for (uint32_t c = *slot; c != 0; slot = &nodes_[c].next_sibling, c = *slot) {
+    if (nodes_[c].rank != rank) continue;
+    if (slot != &nodes_[parent].first_child) {
+      *slot = nodes_[c].next_sibling;
+      nodes_[c].next_sibling = nodes_[parent].first_child;
+      nodes_[parent].first_child = c;
     }
     return c;
   }
-  // Same failure surface a real arena-chunk exhaustion would have; the
+  // Same failure surface a real allocation failure would have; the
   // engine layer maps it to kResourceExhausted (DESIGN.md §7.4).
   if (FailpointTriggered("rptree.alloc")) throw std::bad_alloc();
-  Node* node = arena_.Create();
-  node->rank = rank;
-  node->seq = next_seq_++;
-  node->parent = parent;
-  node->next_sibling = parent->first_child;
-  parent->first_child = node;
-  // Append to the node-link chain for this rank.
-  if (chain_tails_[rank] == nullptr) {
-    heads_[rank] = node;
-  } else {
-    chain_tails_[rank]->next_link = node;
-  }
-  chain_tails_[rank] = node;
-  ++live_nodes_;
+  const uint32_t node = static_cast<uint32_t>(nodes_.size());
+  RPM_CHECK(node != kNoParent) << "RP-tree node index overflow";
+  nodes_.push_back({rank, parent, 0, nodes_[parent].first_child});
+  nodes_[parent].first_child = node;
   return node;
 }
 
-void TsPrefixTree::InsertTransaction(const std::vector<uint32_t>& ranks,
-                                     Timestamp ts) {
-  if (ranks.empty()) return;
-  Node* node = root_;
+uint32_t TsPrefixTree::Builder::Descend(const std::vector<uint32_t>& ranks) {
+  uint32_t node = 0;
   for (uint32_t rank : ranks) {
-    RPM_DCHECK(rank < num_ranks());
+    RPM_DCHECK(rank < items_by_rank_.size());
+    RPM_DCHECK(node == 0 || nodes_[node].rank < rank);
     node = GetOrCreateChild(node, rank);
   }
-  node->ts_list.push_back(ts);
-  ++timestamp_count_;
+  return node;
 }
 
-void TsPrefixTree::InsertPath(const std::vector<uint32_t>& ranks,
-                              std::span<const Timestamp> ts_list) {
+void TsPrefixTree::Builder::Record(uint32_t node,
+                                   std::span<const Timestamp> ts) {
+  if (ts.empty()) return;
+  if (!runs_.empty() && runs_.back().node == node) {
+    runs_.back().len += static_cast<uint32_t>(ts.size());
+  } else {
+    runs_.push_back({node, static_cast<uint32_t>(ts.size())});
+  }
+  own_ts_.insert(own_ts_.end(), ts.begin(), ts.end());
+}
+
+void TsPrefixTree::Builder::InsertTransaction(
+    const std::vector<uint32_t>& ranks, Timestamp ts) {
   if (ranks.empty()) return;
-  Node* node = root_;
-  for (uint32_t rank : ranks) {
-    RPM_DCHECK(rank < num_ranks());
-    node = GetOrCreateChild(node, rank);
-  }
-  node->ts_list.insert(node->ts_list.end(), ts_list.begin(), ts_list.end());
-  timestamp_count_ += ts_list.size();
+  Record(Descend(ranks), {&ts, 1});
 }
 
-TsPrefixTree TsPrefixTree::Clone() const {
-  TsPrefixTree copy(items_by_rank_);
-  // Paths carry strictly ascending ranks (InsertTransaction/InsertPath
-  // insert sorted rank sequences), so walking the chains in ascending rank
-  // order guarantees every node's parent clone already exists. Node::seq
-  // gives an exact flat original->clone map (hot path of the query
-  // engine's build-once/mine-many reuse; a hash map here once cost more
-  // than rebuilding the tree from the database).
-  std::vector<Node*> clone_of(next_seq_, nullptr);
-  clone_of[root_->seq] = copy.root_;
-  for (size_t rank = 0; rank < heads_.size(); ++rank) {
-    for (const Node* n = heads_[rank]; n != nullptr; n = n->next_link) {
-      Node* parent = clone_of[n->parent->seq];
-      if (FailpointTriggered("rptree.alloc")) throw std::bad_alloc();
-      Node* node = copy.arena_.Create();
-      node->rank = n->rank;
-      node->seq = copy.next_seq_++;
-      node->parent = parent;
-      node->ts_list = n->ts_list;
-      node->next_sibling = parent->first_child;
-      parent->first_child = node;
-      if (copy.chain_tails_[rank] == nullptr) {
-        copy.heads_[rank] = node;
-      } else {
-        copy.chain_tails_[rank]->next_link = node;
-      }
-      copy.chain_tails_[rank] = node;
-      ++copy.live_nodes_;
-      clone_of[n->seq] = node;
-    }
+void TsPrefixTree::Builder::InsertPath(const std::vector<uint32_t>& ranks,
+                                       std::span<const Timestamp> ts_list) {
+  if (ranks.empty()) return;
+  Record(Descend(ranks), ts_list);
+}
+
+TsPrefixTree::TsPrefixTree(std::vector<ItemId> items_by_rank)
+    : items_by_rank_(std::move(items_by_rank)),
+      rank_begin_(items_by_rank_.size() + 1, 0) {}
+
+template <typename LinkAt, typename ForEachOwn>
+void TsPrefixTree::Layout(size_t num_nodes, LinkAt link_at,
+                          ForEachOwn for_each_own) {
+  const size_t nranks = items_by_rank_.size();
+  // Counting sort by rank, stable in creation order: each rank's nodes
+  // come out in chain order.
+  rank_begin_.assign(nranks + 1, 0);
+  for (size_t i = 0; i < num_nodes; ++i) ++rank_begin_[link_at(i).rank + 1];
+  for (size_t r = 0; r < nranks; ++r) rank_begin_[r + 1] += rank_begin_[r];
+  std::vector<uint32_t> index_of(num_nodes);
+  std::vector<uint32_t> cursor(rank_begin_.begin(), rank_begin_.end() - 1);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    index_of[i] = cursor[link_at(i).rank]++;
   }
-  // Every live timestamp sits on some chained node (lists whose push-up
-  // parent is the root are dropped), so the chain walk copied all of them.
-  copy.timestamp_count_ = timestamp_count_;
-  return copy;
+  links_.resize(num_nodes);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    const Link link = link_at(i);
+    links_[index_of[i]] = {
+        link.parent == kNoParent ? kNoParent : index_of[link.parent],
+        link.rank};
+  }
+
+  // Accumulated lengths, children before parents: a child's rank, hence
+  // its index, is always higher than its parent's.
+  spans_.assign(num_nodes, ListSpan{});
+  size_t total = 0;
+  for_each_own([&](size_t i, std::span<const Timestamp> ts) {
+    spans_[index_of[i]].len += static_cast<uint32_t>(ts.size());
+    total += ts.size();
+  });
+  RPM_CHECK(total <= std::numeric_limits<uint32_t>::max())
+      << "RP-tree timestamp slab overflow";
+  for (size_t n = num_nodes; n-- > 0;) {
+    const uint32_t parent = links_[n].parent;
+    if (parent == kNoParent) continue;
+    RPM_DCHECK(links_[parent].rank < links_[n].rank);
+    spans_[parent].len += spans_[n].len;
+  }
+
+  // Pre-order offsets: parents before children. Each parent's subtree is
+  // filled from its end, so visiting children in ascending rank puts them
+  // in descending rank after the parent's own list — the order Lemma 3's
+  // push-up appends them in.
+  std::vector<uint32_t> fill(num_nodes);
+  uint32_t root_fill = static_cast<uint32_t>(total);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    const uint32_t parent = links_[n].parent;
+    uint32_t& end = parent == kNoParent ? root_fill : fill[parent];
+    end -= spans_[n].len;
+    spans_[n].begin = end;
+    fill[n] = end + spans_[n].len;
+  }
+  // Own timestamps go first in each node's range, in insertion order.
+  for (size_t n = 0; n < num_nodes; ++n) fill[n] = spans_[n].begin;
+  slab_.resize(total);
+  for_each_own([&](size_t i, std::span<const Timestamp> ts) {
+    uint32_t& at = fill[index_of[i]];
+    std::copy(ts.begin(), ts.end(), slab_.begin() + at);
+    at += static_cast<uint32_t>(ts.size());
+  });
+}
+
+TsPrefixTree TsPrefixTree::Builder::Seal() && {
+  TsPrefixTree tree(std::move(items_by_rank_));
+  // Builder node b (b >= 1) is creation index b - 1; the root is not laid
+  // out.
+  tree.Layout(
+      nodes_.size() - 1,
+      [this](size_t i) {
+        const Node& n = nodes_[i + 1];
+        return Link{n.parent == 0 ? kNoParent : n.parent - 1, n.rank};
+      },
+      [this](auto&& emit) {
+        const Timestamp* ts = own_ts_.data();
+        for (const OwnRun& run : runs_) {
+          emit(run.node - 1, std::span<const Timestamp>(ts, run.len));
+          ts += run.len;
+        }
+      });
+  // The builder is spent; free its buffers now rather than when it leaves
+  // scope, which for a conditional tree is after the recursion below it.
+  nodes_ = std::vector<Node>();
+  runs_ = std::vector<OwnRun>();
+  own_ts_ = TimestampList();
+  return tree;
 }
 
 TsPrefixTree::RetireStats TsPrefixTree::RetireBefore(Timestamp cutoff) {
-  RetireStats stats;
-  // Pass 1: filter expired timestamps out of every chained node's list.
-  // std::remove_if keeps relative order, so a concatenation of sorted
-  // runs stays one (each run just loses a prefix-or-scattered subset that
-  // was < cutoff; what survives of any sorted run is still sorted).
-  for (size_t rank = 0; rank < heads_.size(); ++rank) {
-    for (Node* n = heads_[rank]; n != nullptr; n = n->next_link) {
-      if (n->ts_list.empty()) continue;
-      const size_t before = n->ts_list.size();
-      n->ts_list.erase(
-          std::remove_if(n->ts_list.begin(), n->ts_list.end(),
-                         [cutoff](Timestamp t) { return t < cutoff; }),
-          n->ts_list.end());
-      stats.timestamps_retired += before - n->ts_list.size();
-    }
+  const size_t num_nodes = links_.size();
+  // Own length of every node: its span minus its children's spans.
+  std::vector<uint32_t> own(num_nodes);
+  for (size_t n = 0; n < num_nodes; ++n) own[n] = spans_[n].len;
+  for (size_t n = 0; n < num_nodes; ++n) {
+    if (links_[n].parent != kNoParent) own[links_[n].parent] -= spans_[n].len;
   }
-  timestamp_count_ -= stats.timestamps_retired;
-  // Pass 2: detach empty leaves, deepest ranks first. Children always
-  // carry a strictly higher rank than their parent (paths are ascending),
-  // so a prefix node whose entire subtree expired is itself a childless
-  // empty node by the time its rank is swept. Chains are rebuilt keeping
-  // the survivors' original order.
-  for (size_t rank = heads_.size(); rank-- > 0;) {
-    Node* new_head = nullptr;
-    Node* new_tail = nullptr;
-    for (Node* n = heads_[rank]; n != nullptr;) {
-      Node* next = n->next_link;
-      if (n->ts_list.empty() && n->first_child == nullptr) {
-        n->ts_list.shrink_to_fit();
-        Node** slot = &n->parent->first_child;
-        while (*slot != n) {
-          RPM_DCHECK(*slot != nullptr);
-          slot = &(*slot)->next_sibling;
-        }
-        *slot = n->next_sibling;
-        --live_nodes_;
-        ++stats.nodes_retired;
-      } else {
-        n->next_link = nullptr;
-        if (new_tail == nullptr) {
-          new_head = n;
-        } else {
-          new_tail->next_link = n;
-        }
-        new_tail = n;
-      }
-      n = next;
-    }
-    heads_[rank] = new_head;
-    chain_tails_[rank] = new_tail;
+  // Filter each own list, keeping relative order: what survives of a
+  // sorted run is still sorted.
+  TimestampList kept;
+  std::vector<uint32_t> kept_end(num_nodes);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    const Timestamp* first = slab_.data() + spans_[n].begin;
+    std::copy_if(first, first + own[n], std::back_inserter(kept),
+                 [cutoff](Timestamp t) { return t >= cutoff; });
+    kept_end[n] = static_cast<uint32_t>(kept.size());
   }
-  return stats;
-}
+  // A node survives iff its subtree still holds a timestamp.
+  std::vector<uint32_t>& live = own;  // Reused: live subtree sizes.
+  for (size_t n = 0; n < num_nodes; ++n) {
+    live[n] = kept_end[n] - (n == 0 ? 0 : kept_end[n - 1]);
+  }
+  for (size_t n = num_nodes; n-- > 0;) {
+    if (links_[n].parent != kNoParent) live[links_[n].parent] += live[n];
+  }
+  std::vector<uint32_t> survivors;
+  std::vector<uint32_t> survivor_of(num_nodes, kNoParent);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    if (live[n] == 0) continue;
+    survivor_of[n] = static_cast<uint32_t>(survivors.size());
+    survivors.push_back(static_cast<uint32_t>(n));
+  }
 
-void TsPrefixTree::PushUpAndRemove(size_t rank) {
-  for (Node* n = heads_[rank]; n != nullptr; n = n->next_link) {
-    RPM_DCHECK(n->first_child == nullptr)
-        << "rank " << rank << " removed before deeper ranks";
-    Node* parent = n->parent;
-    if (parent != root_) {
-      if (parent->ts_list.empty()) {
-        parent->ts_list = std::move(n->ts_list);
-      } else {
-        parent->ts_list.insert(parent->ts_list.end(), n->ts_list.begin(),
-                               n->ts_list.end());
-      }
-    } else {
-      timestamp_count_ -= n->ts_list.size();  // Root discards its lists.
-    }
-    n->ts_list.clear();
-    n->ts_list.shrink_to_fit();
-    // Unlink from the parent's sibling list (the node itself stays in the
-    // arena until the tree dies).
-    Node** slot = &parent->first_child;
-    while (*slot != n) {
-      RPM_DCHECK(*slot != nullptr);
-      slot = &(*slot)->next_sibling;
-    }
-    *slot = n->next_sibling;
-    --live_nodes_;
-  }
-  heads_[rank] = nullptr;
-  chain_tails_[rank] = nullptr;
+  RetireStats stats;
+  stats.timestamps_retired = slab_.size() - kept.size();
+  stats.nodes_retired = num_nodes - survivors.size();
+  const std::vector<Link> old_links = std::move(links_);
+  // Survivors are already in rank-major chain order, which the layout's
+  // stable counting sort preserves.
+  Layout(
+      survivors.size(),
+      [&](size_t i) {
+        const Link& link = old_links[survivors[i]];
+        return Link{link.parent == kNoParent ? kNoParent
+                                             : survivor_of[link.parent],
+                    link.rank};
+      },
+      [&](auto&& emit) {
+        for (size_t i = 0; i < survivors.size(); ++i) {
+          const uint32_t n = survivors[i];
+          const uint32_t begin = n == 0 ? 0 : kept_end[n - 1];
+          emit(i, std::span<const Timestamp>(kept.data() + begin,
+                                             kept_end[n] - begin));
+        }
+      });
+  return stats;
 }
 
 }  // namespace rpm

@@ -4,9 +4,19 @@
 //
 // Unlike an FP-tree there is no per-node support count; all frequency *and*
 // periodicity information lives in the ts-lists (the paper's tail nodes).
-// Mining proceeds bottom-up: after the lowest-ranked item is processed its
-// ts-lists are pushed up to the parents (Lemma 3), which makes the next
-// item's nodes complete in turn.
+// Mining proceeds bottom-up, and the paper makes each item's nodes complete
+// by pushing the ts-lists of the item below up to the parents (Lemma 3).
+//
+// A tree is built with TsPrefixTree::Builder and then sealed into an
+// immutable, rank-major form. Sealing counting-sorts the nodes by rank
+// (creation order within a rank, i.e. node-link chain order) and lays every
+// timestamp out in ONE slab in pre-order: a node's own list first, then its
+// children's subtrees in descending rank. Ranks are mined in descending
+// order and siblings have distinct ranks, so the list Lemma 3's push-up
+// would have built by the time a node's rank is mined is exactly the node's
+// slab range. Push-up is therefore implicit: mining reads the sealed tree
+// and never changes it, so any number of miners (parallel workers,
+// concurrent queries over one cached build) can share one tree.
 //
 // The structure is shared by RP-growth and the PF-growth++ baseline; the
 // two differ only in the measures/pruning applied to collected ts-lists.
@@ -14,106 +24,115 @@
 #ifndef RPM_CORE_RP_TREE_H_
 #define RPM_CORE_RP_TREE_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
-#include "rpm/core/arena.h"
 #include "rpm/timeseries/types.h"
 
 namespace rpm {
 
-/// Prefix tree keyed by item *rank* (0 = first item of the tree's order).
-/// Owns its nodes via an arena (bump-allocated, bulk-freed with the tree);
-/// not copyable (mining mutates it in place) — repeated mining over one
-/// build goes through Clone().
+/// Sealed prefix tree keyed by item *rank* (0 = first item of the tree's
+/// order). Nodes are addressed by dense indices, grouped by rank: the
+/// nodes of rank r are [RankBegin(r), RankEnd(r)), in chain (creation)
+/// order. Immutable except for RetireBefore; not implicitly copyable.
 class TsPrefixTree {
  public:
-  struct Node {
+  /// Parent index of a root child (the root itself is not stored).
+  static constexpr uint32_t kNoParent = std::numeric_limits<uint32_t>::max();
+
+  /// A node's place in the tree. Parents always have a lower rank, hence a
+  /// lower index, than their children.
+  struct Link {
+    uint32_t parent = kNoParent;
     uint32_t rank = 0;
-    /// Dense per-tree creation index (root = 0). Lets Clone() map
-    /// original nodes to copies through a flat vector instead of a hash
-    /// map; lives in the padding after `rank`, so it costs no space.
-    uint32_t seq = 0;
-    Node* parent = nullptr;
-    Node* next_link = nullptr;  // Chain of nodes with the same rank.
-    /// Children as an intrusive singly-linked sibling list (no per-node
-    /// child vector to allocate), kept in access order: inserts move the
-    /// child they step through to the front. Nothing reads sibling order
-    /// (DESIGN.md §8.3); chains and ts-lists carry every observable.
-    Node* first_child = nullptr;
-    Node* next_sibling = nullptr;
-    /// Timestamps of transactions whose deepest item is this node
-    /// (plus any lists pushed up from removed descendants). Not globally
-    /// sorted after push-up, but always a concatenation of sorted runs:
-    /// transactions insert in ascending timestamp order and push-up /
-    /// InsertPath only append whole lists, so consumers recover the
-    /// sorted union with the run-aware merge kernel (ts_merge.h) instead
-    /// of re-sorting.
-    TimestampList ts_list;
   };
 
-  /// `items_by_rank[r]` is the ItemId occupying rank r.
+  /// Mutable build phase (Algorithms 2-3 and conditional-tree
+  /// construction). Nodes are 16-byte index records; each node's own
+  /// timestamps are recorded in insertion order and only laid out by
+  /// Seal().
+  class Builder {
+   public:
+    /// `items_by_rank[r]` is the ItemId occupying rank r.
+    explicit Builder(std::vector<ItemId> items_by_rank);
+
+    /// Inserts one transaction: `ranks` sorted ascending, duplicate-free.
+    /// Records `ts` at the deepest node (Algorithm 3). No-op for an empty
+    /// rank set.
+    void InsertTransaction(const std::vector<uint32_t>& ranks, Timestamp ts);
+
+    /// Inserts a whole prefix path carrying an accumulated ts-list
+    /// (conditional-tree construction). Lists of coinciding paths
+    /// concatenate in insertion order.
+    void InsertPath(const std::vector<uint32_t>& ranks,
+                    std::span<const Timestamp> ts_list);
+
+    /// Bytes of the builder's node records and recorded timestamps.
+    size_t ApproxBytes() const {
+      return nodes_.size() * sizeof(Node) + runs_.size() * sizeof(OwnRun) +
+             own_ts_.size() * sizeof(Timestamp);
+    }
+
+    /// Lays the tree out in its sealed form and releases the builder's
+    /// buffers. O(nodes + timestamps).
+    TsPrefixTree Seal() &&;
+
+   private:
+    /// Children form a singly-linked sibling list kept in access order:
+    /// inserts move the child they step through to the front. Nothing
+    /// reads sibling order (DESIGN.md §8.3); chain order is creation order.
+    struct Node {
+      uint32_t rank = 0;
+      uint32_t parent = 0;
+      uint32_t first_child = 0;  // 0 = none (the root is never a child).
+      uint32_t next_sibling = 0;
+    };
+    /// `len` timestamps of own_ts_, recorded at builder node `node`.
+    struct OwnRun {
+      uint32_t node = 0;
+      uint32_t len = 0;
+    };
+
+    uint32_t Descend(const std::vector<uint32_t>& ranks);
+    uint32_t GetOrCreateChild(uint32_t parent, uint32_t rank);
+    void Record(uint32_t node, std::span<const Timestamp> ts);
+
+    std::vector<ItemId> items_by_rank_;
+    std::vector<Node> nodes_;  // [0] is the root.
+    std::vector<OwnRun> runs_;
+    TimestampList own_ts_;
+  };
+
+  /// An empty tree over `items_by_rank`.
   explicit TsPrefixTree(std::vector<ItemId> items_by_rank);
 
-  TsPrefixTree(const TsPrefixTree&) = delete;
-  TsPrefixTree& operator=(const TsPrefixTree&) = delete;
   TsPrefixTree(TsPrefixTree&&) = default;
   TsPrefixTree& operator=(TsPrefixTree&&) = default;
+  TsPrefixTree& operator=(const TsPrefixTree&) = delete;
 
   size_t num_ranks() const { return items_by_rank_.size(); }
   ItemId ItemAtRank(size_t rank) const { return items_by_rank_[rank]; }
   const std::vector<ItemId>& items_by_rank() const { return items_by_rank_; }
 
-  /// Inserts one transaction: `ranks` sorted ascending, duplicate-free.
-  /// Appends `ts` to the ts-list of the deepest node (Algorithm 3).
-  /// No-op for an empty rank set.
-  void InsertTransaction(const std::vector<uint32_t>& ranks, Timestamp ts);
+  /// Node index range of `rank`, in chain order.
+  uint32_t RankBegin(size_t rank) const { return rank_begin_[rank]; }
+  uint32_t RankEnd(size_t rank) const { return rank_begin_[rank + 1]; }
 
-  /// Inserts a whole prefix path carrying an accumulated ts-list
-  /// (conditional-tree construction). Lists of coinciding paths merge.
-  void InsertPath(const std::vector<uint32_t>& ranks,
-                  std::span<const Timestamp> ts_list);
-
-  /// Head of the node-link chain for `rank` (nullptr when absent).
-  const Node* HeadOfRank(size_t rank) const { return heads_[rank]; }
-
-  /// Visits every node of `rank`: fn(path, ts_list) where `path` holds the
-  /// ancestor ranks in ascending order (root side first), excluding `rank`
-  /// itself. The ts_list reference stays valid until the next mutation.
-  /// `path` is ONE buffer reused across callbacks — callers that keep
-  /// paths must copy the contents (miners append them to a flat slab
-  /// rather than cloning a vector per node).
-  template <typename Fn>
-  void ForEachNodeOfRank(size_t rank, Fn&& fn) const {
-    std::vector<uint32_t> path;
-    for (const Node* n = heads_[rank]; n != nullptr; n = n->next_link) {
-      path.clear();
-      for (const Node* a = n->parent; a != root_; a = a->parent) {
-        path.push_back(a->rank);
-      }
-      std::reverse(path.begin(), path.end());
-      fn(path, n->ts_list);
-    }
+  const Link& LinkOf(uint32_t node) const { return links_[node]; }
+  /// The node's accumulated ts-list: its own timestamps in insertion order
+  /// followed by its children's accumulated lists in descending rank — a
+  /// concatenation of sorted runs, so consumers recover the sorted union
+  /// with the run-aware merge kernel (ts_merge.h) instead of re-sorting.
+  std::span<const Timestamp> ListOf(uint32_t node) const {
+    return {slab_.data() + spans_[node].begin, spans_[node].len};
   }
+  uint32_t ListLength(uint32_t node) const { return spans_[node].len; }
 
-  /// Pushes every ts-list of `rank` to the respective parent and detaches
-  /// the nodes (Algorithm 4 line 9 / Lemma 3). After this, HeadOfRank(rank)
-  /// is nullptr. Precondition: all deeper ranks were already removed.
-  /// Never writes a node's `parent` or `rank`: a detached node's ancestor
-  /// path stays readable until the tree dies (ProjectSuffixItems relies
-  /// on this).
-  void PushUpAndRemove(size_t rank);
-
-  /// Deep copy into a fresh arena. Node-link chains are reproduced in the
-  /// original chain order, so mining the clone collects every conditional
-  /// pattern base in exactly the order the original would — outputs AND
-  /// schedule-invariant counters are bit-identical. O(nodes + timestamps);
-  /// much cheaper than re-scanning the database, which is what makes a
-  /// build-once/mine-many query engine pay off. Safe to call concurrently
-  /// from several threads on the same (unmutated) tree.
-  TsPrefixTree Clone() const;
+  /// A plain copy of the sealed arrays. Mining never needs one — every
+  /// miner reads the tree without changing it.
+  TsPrefixTree Clone() const { return TsPrefixTree(*this); }
 
   /// Outcome of a RetireBefore sweep.
   struct RetireStats {
@@ -121,45 +140,51 @@ class TsPrefixTree {
     size_t nodes_retired = 0;
   };
 
-  /// Retires every timestamp < `cutoff` from all ts-lists, then detaches
-  /// nodes left with no timestamps and no live children — the lazy
-  /// expiry sweep of the windowed miner (DESIGN.md §9). Filtering keeps
-  /// relative order, so each surviving list is still a concatenation of
-  /// sorted runs and node-link chains keep their original order (the
-  /// determinism contract of Clone). Like PushUpAndRemove,
-  /// retired nodes stay in the arena until the tree dies; the windowed
-  /// miner's per-delta trees are transient, so the slabs are reclaimed at
-  /// the end of every delta, and long-lived trees are rebuilt by its
-  /// compaction policy instead of being retired in place forever.
+  /// Retires every timestamp < `cutoff`, then drops the nodes whose
+  /// subtree is left without timestamps — the lazy expiry sweep of the
+  /// windowed miner (DESIGN.md §9). Filtering keeps relative order, so
+  /// every list stays a concatenation of sorted runs, and survivors keep
+  /// their chain order. Re-runs the sealing layout over the survivors.
   RetireStats RetireBefore(Timestamp cutoff);
 
-  /// Number of live nodes, excluding the root (Lemma 2's size measure).
-  size_t NodeCount() const { return live_nodes_; }
+  /// Number of nodes, excluding the root (Lemma 2's size measure).
+  size_t NodeCount() const { return links_.size(); }
 
-  /// Timestamps currently stored across all ts-lists.
-  size_t TimestampCount() const { return timestamp_count_; }
+  /// Timestamps stored in the tree (each appears once in the slab).
+  size_t TimestampCount() const { return slab_.size(); }
 
-  /// Approximate live footprint in bytes: nodes plus stored timestamps,
-  /// maintained by O(1) counters. This is what query memory budgets
-  /// account against (transient per-path buffers are excluded — see
-  /// DESIGN.md §7.2).
+  /// Sealed footprint in bytes: node links and list spans plus the
+  /// timestamp slab. This is what query memory budgets account against
+  /// (transient per-path buffers are excluded — see DESIGN.md §7.2).
   size_t ApproxBytes() const {
-    return live_nodes_ * sizeof(Node) + timestamp_count_ * sizeof(Timestamp);
+    return links_.size() * (sizeof(Link) + sizeof(ListSpan)) +
+           slab_.size() * sizeof(Timestamp);
   }
 
-  bool empty() const { return live_nodes_ == 0; }
+  bool empty() const { return links_.empty(); }
 
  private:
-  Node* GetOrCreateChild(Node* parent, uint32_t rank);
+  /// A node's accumulated ts-list: slab_[begin, begin + len).
+  struct ListSpan {
+    uint32_t begin = 0;
+    uint32_t len = 0;
+  };
+
+  TsPrefixTree(const TsPrefixTree&) = default;
+
+  /// The one sealing routine, shared by Builder::Seal and RetireBefore.
+  /// `link_at(i)` gives node i's parent (an input index < i, or kNoParent)
+  /// and rank, for nodes i in creation order; `for_each_own(emit)` calls
+  /// emit(i, timestamps) for each node's own timestamps, in insertion
+  /// order per node. Replaces links_, spans_, slab_ and rank_begin_.
+  template <typename LinkAt, typename ForEachOwn>
+  void Layout(size_t num_nodes, LinkAt link_at, ForEachOwn for_each_own);
 
   std::vector<ItemId> items_by_rank_;
-  Arena<Node> arena_;  // Stable addresses; owns root_ and all nodes.
-  Node* root_ = nullptr;
-  std::vector<Node*> heads_;
-  std::vector<Node*> chain_tails_;  // O(1) chain append.
-  size_t live_nodes_ = 0;
-  size_t timestamp_count_ = 0;  // Timestamps across all live ts-lists.
-  uint32_t next_seq_ = 0;  // Next Node::seq (never reused after push-up).
+  std::vector<uint32_t> rank_begin_;  // num_ranks() + 1 offsets.
+  std::vector<Link> links_;
+  std::vector<ListSpan> spans_;
+  TimestampList slab_;
 };
 
 }  // namespace rpm

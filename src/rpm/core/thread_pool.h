@@ -1,10 +1,10 @@
-// Minimal worker pool for projection-level mining parallelism.
+// Minimal worker pool for suffix-item mining parallelism.
 //
-// The miner's unit of work is one suffix-item projection; projections vary
-// wildly in cost (the heaviest conditional subtree can dominate the run),
-// so work is pulled from a shared atomic index rather than pre-sharded —
-// a finished worker immediately takes the next projection instead of
-// idling behind a static partition.
+// The miner's unit of work is one suffix item of the shared tree; items
+// vary wildly in cost (the heaviest conditional subtree can dominate the
+// run), so work is pulled from a shared atomic index rather than
+// pre-sharded — a finished worker immediately takes the next item instead
+// of idling behind a static partition.
 
 #ifndef RPM_CORE_THREAD_POOL_H_
 #define RPM_CORE_THREAD_POOL_H_

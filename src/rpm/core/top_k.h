@@ -46,7 +46,7 @@ TopKResult MineTopKByRecurrence(const TransactionDatabase& db,
 
 /// One full mining round at the given params; must behave exactly like
 /// MineRecurringPatterns (the query engine injects planner-cached rounds
-/// that clone a prebuilt tree instead of re-scanning the database).
+/// that mine a prebuilt tree instead of re-scanning the database).
 using TopKMiningRound = std::function<RpGrowthResult(const RpParams&)>;
 
 /// Optimistic starting threshold: the k-th largest value of

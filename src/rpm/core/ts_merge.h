@@ -3,9 +3,10 @@
 // RP-growth spends most of its time assembling TS^beta lists: at every
 // conditional level the miner unions the ts-lists of a rank's nodes. Those
 // lists are never random — each one is a concatenation of sorted runs
-// (transactions arrive in timestamp order, and push-up / InsertPath only
-// ever append whole sorted lists), so sorting the concatenation with
-// std::sort discards structure the RP-tree maintained all along. This
+// (transactions arrive in timestamp order, and InsertPath and the sealed
+// tree's accumulated ranges only ever concatenate whole sorted lists), so
+// sorting the concatenation with std::sort discards structure the RP-tree
+// maintained all along. This
 // kernel exploits it: split every contribution into its maximal sorted
 // runs (AppendSortedRuns — O(n), one run for an already-sorted list) and
 // merge the runs (MergeSortedRuns — adaptive two-run fast path, bottom-up

@@ -237,7 +237,7 @@ PatternDelta WindowedMiner::ApplyDeltaInternal(
     mopt.num_threads = 1;
     mopt.budget = budget;
     RpGrowthResult mined =
-        MineFromPrepared(prep, std::move(prep.tree), params_, mopt);
+        MineFromPrepared(prep, prep.tree, params_, mopt);
     d.mine_seconds = mine_clock.ElapsedSeconds();
     if (!mined.status.ok()) return refuse(mined.status);
     if (mined.truncated) return refuse(RefusalStatus(budget));

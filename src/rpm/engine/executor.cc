@@ -122,7 +122,7 @@ Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
                                 top_k_options.floor_min_rec),
               top_k_options, [&](const RpParams& round_params) {
                 RpGrowthResult mined = MineFromPrepared(
-                    prepared, prepared.tree.Clone(), round_params,
+                    prepared, prepared.tree, round_params,
                     GrowthOptions(query, num_threads, budget));
                 out.stats = mined.stats;
                 // A budget stop mid-descent truncates every later round
@@ -153,7 +153,7 @@ Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
       } else {
         Stopwatch exec_clock;
         RpGrowthResult mined = MineFromPrepared(
-            *plan.prepared, plan.prepared->tree.Clone(), query.params,
+            *plan.prepared, plan.prepared->tree, query.params,
             GrowthOptions(query, num_threads, budget));
         out.patterns = std::move(mined.patterns);
         out.stats = mined.stats;

@@ -9,7 +9,8 @@
 // snapshot.
 //
 //   sequential — the single-threaded reference path.
-//   parallel   — suffix projections mined on a worker pool (PR-1 pool);
+//   parallel   — suffix items of the one shared tree mined on a worker
+//                pool;
 //                schedule-invariant counters match sequential exactly.
 //   windowed   — the snapshot replayed in Query::delta-sized batches
 //                through the incremental sliding-window miner
@@ -56,8 +57,9 @@ class Executor {
   virtual const char* name() const = 0;
 
   /// Runs `query` against the planner's snapshot. The planner supplies
-  /// (and caches) the RP-list/RP-tree build; execution clones the cached
-  /// tree, so the planner's state is never consumed. Errors: invalid
+  /// (and caches) the RP-list/RP-tree build; execution mines the cached
+  /// sealed tree in place without changing it, so concurrent queries
+  /// share one build. Errors: invalid
   /// query, or a query outside this backend's model (windowed with
   /// tolerance, top-k or max-patterns).
   virtual Result<QueryResult> Execute(QueryPlanner& planner,

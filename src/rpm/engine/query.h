@@ -98,7 +98,7 @@ struct QueryResult {
   uint64_t top_k_final_min_rec = 0;
   /// Planning wall clock: cache lookup plus any RP-list/RP-tree build.
   double plan_seconds = 0.0;
-  /// Execution wall clock: tree clone, mining, filters.
+  /// Execution wall clock: mining and filters.
   double execute_seconds = 0.0;
   /// End-to-end wall clock of this query (excludes snapshot load).
   double total_seconds = 0.0;

@@ -18,7 +18,7 @@ bool Serves(const RpParams& built, const RpParams& wanted) {
 }
 
 /// Among serving builds, prefer the tightest (larger thresholds = smaller
-/// tree = cheaper clone + less dead exploration when mining the stricter
+/// tree = fewer nodes walked + less dead exploration when mining the stricter
 /// query). minPS shrinks the tree far more than minRec, so it leads.
 bool Tighter(const RpParams& a, const RpParams& b) {
   return a.min_ps > b.min_ps ||

@@ -51,10 +51,10 @@ class QueryPlanner {
 
   /// Returns a build able to serve `params` (must validate): a cached
   /// build with the same period/tolerance and thresholds no stricter than
-  /// `params` (the *tightest* such build, minimizing clone size and dead
-  /// exploration), else a fresh build at exactly `params` (cached for
-  /// later queries). Mining always clones: plan.prepared->tree is never
-  /// consumed.
+  /// `params` (the *tightest* such build, minimizing the tree mined and
+  /// dead exploration), else a fresh build at exactly `params` (cached for
+  /// later queries). Mining only reads plan.prepared->tree, so any number
+  /// of queries mine one cached build at once.
   ///
   /// A non-null `budget` governs any fresh build (checkpoints in the
   /// RP-list scan and tree construction). When the budget hard-stops

@@ -8,7 +8,7 @@
 //
 // Failpoint catalog (sites compiled into the library):
 //   rptree.alloc     — RP-tree node allocation throws std::bad_alloc
-//                      (build, clone and conditional trees).
+//                      (initial build and conditional trees).
 //   io.read          — reader input stream fails mid-file (CSV/SPMF).
 //   threadpool.spawn — std::thread creation fails; ParallelFor degrades
 //                      to fewer workers (floor: the calling thread).

@@ -148,12 +148,12 @@ TEST(QueryPlannerTest, EvictionKeepsPlannerCorrect) {
   // the exact Table 2 result set.
   QueryPlanner::Plan replan = planner.PlanFor(params);
   EXPECT_FALSE(replan.reused);
-  RpGrowthResult mined = MineFromPrepared(
-      *replan.prepared, replan.prepared->tree.Clone(), params);
+  RpGrowthResult mined =
+      MineFromPrepared(*replan.prepared, replan.prepared->tree, params);
   EXPECT_EQ(mined.patterns, PaperExamplePatterns());
   // The pinned pre-eviction build still mines correctly too.
-  RpGrowthResult pinned_mined = MineFromPrepared(
-      *pinned.prepared, pinned.prepared->tree.Clone(), params);
+  RpGrowthResult pinned_mined =
+      MineFromPrepared(*pinned.prepared, pinned.prepared->tree, params);
   EXPECT_EQ(pinned_mined.patterns, PaperExamplePatterns());
 }
 
@@ -408,8 +408,8 @@ TEST(EngineTopKTest, MatchesCoreTopKAndReusesFloorTree) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->patterns, core.patterns) << "seed " << seed;
     EXPECT_EQ(got->top_k_final_min_rec, core.final_min_rec) << "seed " << seed;
-    // Every descent round mined a clone of the single floor-threshold
-    // build — one build regardless of round count.
+    // Every descent round mined the single floor-threshold build — one
+    // build regardless of round count.
     EXPECT_EQ(session.tree_builds(), 1u);
 
     // A second top-k query reuses the floor tree outright.
@@ -544,6 +544,77 @@ TEST(EngineConcurrencyTest, ConcurrentSessionsShareOneSnapshotSafely) {
   // distinct parameter point.
   EXPECT_GE(session.tree_builds(), 1u);
   EXPECT_LE(session.tree_builds(), points.size());
+}
+
+TEST(EngineConcurrencyTest, ConcurrentMinesShareOneSealedTree) {
+  // Mining only reads the sealed tree, so nothing clones it: concurrent
+  // queries mine the one cached build. 4 threads mine one pinned
+  // PreparedMining at once — 1- and 4-thread mines at the build's params,
+  // a stricter query, and top-k descents through both executors — and
+  // every result must equal its sequential run.
+  TransactionDatabase db = MakeRandomDb(RandomDbSpec{}, 93);
+  QueryPlanner planner(DatasetSnapshot::Create(db));
+  RpParams base;
+  base.period = 2;
+  base.min_ps = 3;
+  base.min_rec = 1;  // The top-k descent floor: one build serves all.
+  const std::shared_ptr<const PreparedMining> prepared =
+      planner.PlanFor(base).prepared;
+  const size_t nodes = prepared->tree.NodeCount();
+  RpParams strict = base;
+  strict.min_ps += 1;
+  strict.min_rec += 1;
+  Query top_k;
+  top_k.params = base;
+  top_k.top_k = 5;
+
+  const RpGrowthResult want_base = MineRecurringPatterns(db, base);
+  const RpGrowthResult want_strict = MineRecurringPatterns(db, strict);
+  const TopKResult want_top_k =
+      MineTopKByRecurrence(db, base.period, base.min_ps, top_k.top_k);
+  ASSERT_FALSE(want_base.patterns.empty());
+  ASSERT_FALSE(want_top_k.patterns.empty());
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int round = 0; round < 2; ++round) {
+        for (size_t mine_threads : {size_t{1}, size_t{4}}) {
+          RpGrowthOptions options;
+          options.num_threads = mine_threads;
+          const RpGrowthResult got =
+              MineFromPrepared(*prepared, prepared->tree, base, options);
+          if (got.patterns != want_base.patterns ||
+              InvariantCounters(got.stats) !=
+                  InvariantCounters(want_base.stats)) {
+            mismatches.fetch_add(1);
+          }
+        }
+        RpGrowthOptions options;
+        options.num_threads = (t % 2 == 0) ? 1 : 4;
+        if (MineFromPrepared(*prepared, prepared->tree, strict, options)
+                .patterns != want_strict.patterns) {
+          mismatches.fetch_add(1);
+        }
+        const BackendKind kind =
+            (t + round) % 2 == 0 ? BackendKind::kSequential
+                                 : BackendKind::kParallel;
+        ExecOptions exec;
+        exec.threads = 4;
+        Result<QueryResult> got =
+            GetExecutor(kind).Execute(planner, top_k, exec);
+        if (!got.ok() || !got->tree_reused ||
+            got->patterns != want_top_k.patterns) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(planner.tree_builds(), 1u);
+  EXPECT_EQ(prepared->tree.NodeCount(), nodes);
 }
 
 }  // namespace

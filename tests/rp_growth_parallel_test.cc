@@ -1,19 +1,15 @@
 // Parallel RP-growth must be indistinguishable from the sequential miner:
 // identical pattern sets, identical canonical order, identical
 // thread-invariant stats counters — for every thread count, on every
-// dataset family. Also covers sink serialization and the projection
-// decomposition itself.
+// dataset family. Also covers sink serialization and the thread pool.
 
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <set>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "rpm/core/projection.h"
 #include "rpm/core/rp_growth.h"
 #include "rpm/core/thread_pool.h"
 #include "rpm/gen/paper_datasets.h"
@@ -62,8 +58,8 @@ void ExpectMatchesSequential(const TransactionDatabase& db,
   // The merge-kernel and gate-scan counters are schedule-invariant: the
   // parallel miner performs exactly the sequential miner's merges and gate
   // scans, only distributed over workers (each worker collects and merges
-  // its projection's TS^beta from the same runs in the same order, and
-  // each projection's conditional recursion is identical). Only the
+  // its rank's TS^beta from the same runs in the same order, and each
+  // rank's conditional recursion is identical). Only the
   // scratch byte figures may differ — they follow the per-worker pools.
   EXPECT_EQ(parallel.stats.merge_invocations,
             sequential.stats.merge_invocations)
@@ -126,7 +122,7 @@ TEST(RpGrowthParallelTest, QuestMini) {
 TEST(RpGrowthParallelTest, SparseQuestMatchesSequential) {
   // The wide-root sparse shape of the benchmark's mine_sparse workload:
   // hundreds of suffix items, most with many short paths, so the
-  // projection sweep and the workers' path walks dominate the parallel
+  // workers' path walks over the shared sealed tree dominate the parallel
   // phase.
   TransactionDatabase db = gen::MakeT10I4D100K(0.05);
   RpParams params;
@@ -243,91 +239,15 @@ TEST(RpGrowthParallelTest, StatsTimersConsistent) {
   // total_seconds is wall clock, not a phase sum: it must cover the
   // mining phase's wall time but not necessarily the summed CPU time.
   EXPECT_GE(result.stats.total_seconds, result.stats.mine_seconds);
-  // mine_cpu_seconds covers the sequential projection sweep as well as the
-  // workers' busy time, so it cannot fall far below the phase's wall time
-  // (the rest is pool start-up and the commit walk).
+  // mine_cpu_seconds is the workers' busy time, so it cannot fall far
+  // below the phase's wall time (the rest is ranking the subproblems, pool
+  // start-up and the commit walk).
   EXPECT_GE(result.stats.mine_cpu_seconds, 0.5 * result.stats.mine_seconds);
 
   RpGrowthResult sequential = MineRecurringPatterns(shop.db, params);
   EXPECT_EQ(sequential.stats.threads_used, 1u);
   EXPECT_DOUBLE_EQ(sequential.stats.mine_cpu_seconds,
                    sequential.stats.mine_seconds);
-}
-
-TEST(ProjectionTest, ProjectionsCoverEveryCandidateOnce) {
-  // Decompose the paper example's tree and check each projection against
-  // a reference sweep over a clone: the same nodes in chain order, the
-  // same ts-lists as they stood before push-up, and TS^{item} equal to the
-  // item's full timestamp list.
-  TransactionDatabase db = PaperExampleDb();
-  RpParams params = PaperExampleParams();
-  RpGrowthResult reference = MineRecurringPatterns(db, params);
-
-  RpList list = BuildRpList(db, params);
-  std::vector<ItemId> items_by_rank;
-  for (const RpListEntry& e : list.candidates()) {
-    items_by_rank.push_back(e.item);
-  }
-  TsPrefixTree tree = BuildRankedTree(db, items_by_rank);
-  TsPrefixTree model = tree.Clone();
-
-  std::vector<SuffixProjection> projections = ProjectSuffixItems(&tree);
-  ASSERT_EQ(projections.size(), items_by_rank.size());
-  EXPECT_TRUE(tree.empty());  // Fully consumed.
-  std::set<uint32_t> seen_ranks;
-  for (size_t p = 0; p < projections.size(); ++p) {
-    const SuffixProjection& projection = projections[p];
-    EXPECT_TRUE(seen_ranks.insert(projection.rank).second);
-    if (p > 0) {
-      EXPECT_LT(projection.rank, projections[p - 1].rank);
-    }
-    // The reference: push the model up to this rank, then read its chain.
-    for (size_t r = model.num_ranks(); r-- > projection.rank + 1;) {
-      if (model.HeadOfRank(r) != nullptr) model.PushUpAndRemove(r);
-    }
-    std::vector<std::vector<uint32_t>> model_paths;
-    std::vector<TimestampList> model_ts;
-    model.ForEachNodeOfRank(
-        projection.rank,
-        [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-          model_paths.push_back(path);
-          model_ts.push_back(ts);
-        });
-    ASSERT_EQ(projection.nodes.size(), model_paths.size());
-    ASSERT_EQ(projection.ts_end.size(), projection.nodes.size());
-    EXPECT_EQ(projection.ts_end.back(), projection.ts.size());
-    for (size_t i = 0; i < projection.nodes.size(); ++i) {
-      // Each node's slab segment is its chain-order ts-list.
-      std::span<const Timestamp> ts = projection.TsOf(i);
-      EXPECT_EQ(TimestampList(ts.begin(), ts.end()), model_ts[i])
-          << "rank " << projection.rank << " node " << i;
-      // The node's ancestors, read off the consumed tree, are the model's
-      // path: strictly shallower ranks, ascending from the root side.
-      const TsPrefixTree::Node* node = projection.nodes[i];
-      EXPECT_EQ(node->rank, projection.rank);
-      std::vector<uint32_t> path;
-      for (const TsPrefixTree::Node* a = node->parent; a->parent != nullptr;
-           a = a->parent) {
-        EXPECT_LT(a->rank, projection.rank);
-        path.insert(path.begin(), a->rank);
-      }
-      EXPECT_EQ(path, model_paths[i]) << "rank " << projection.rank;
-    }
-    // TS^{item}, the sorted slab, matches the item's occurrences in the
-    // database.
-    TimestampList sorted = projection.ts;
-    std::sort(sorted.begin(), sorted.end());
-    TimestampList expected;
-    ItemId item = items_by_rank[projection.rank];
-    for (const Transaction& tr : db.transactions()) {
-      if (std::binary_search(tr.items.begin(), tr.items.end(), item)) {
-        expected.push_back(tr.ts);
-      }
-    }
-    EXPECT_EQ(sorted, expected) << "item rank " << projection.rank;
-  }
-  // And the reference mining result was unaffected by us re-deriving it.
-  EXPECT_EQ(reference.stats.num_candidate_items, projections.size());
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEachIndexOnce) {

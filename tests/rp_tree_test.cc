@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,19 +27,64 @@ using ::rpm::testing::D;
 using ::rpm::testing::E;
 using ::rpm::testing::F;
 
+/// Seals a tree built from (timestamp, ranks) rows.
+using Rows = std::vector<std::pair<Timestamp, std::vector<uint32_t>>>;
+
+TsPrefixTree BuildTree(std::vector<ItemId> items_by_rank, const Rows& rows) {
+  TsPrefixTree::Builder builder(std::move(items_by_rank));
+  for (const auto& [ts, ranks] : rows) builder.InsertTransaction(ranks, ts);
+  return std::move(builder).Seal();
+}
+
 /// Builds the paper's RP-tree (Figure 5(b)): candidate order a,b,c,d,e,f
 /// (ranks 0..5), inserting the Table 1 transactions' candidate projections.
 TsPrefixTree BuildPaperTree() {
-  TsPrefixTree tree({A, B, C, D, E, F});
-  const std::vector<std::pair<Timestamp, std::vector<uint32_t>>> rows = {
-      {1, {0, 1}},           {2, {0, 2, 3}},    {3, {0, 1, 4, 5}},
-      {4, {0, 1, 2, 3}},     {5, {2, 3, 4, 5}}, {6, {4, 5}},
-      {7, {0, 1, 2}},        {9, {2, 3}},       {10, {2, 3, 4, 5}},
-      {11, {0, 1, 4, 5}},    {12, {0, 1, 2, 3, 4, 5}},
-      {14, {0, 1}},
-  };
-  for (const auto& [ts, ranks] : rows) tree.InsertTransaction(ranks, ts);
-  return tree;
+  return BuildTree({A, B, C, D, E, F},
+                   {
+                       {1, {0, 1}},           {2, {0, 2, 3}},
+                       {3, {0, 1, 4, 5}},     {4, {0, 1, 2, 3}},
+                       {5, {2, 3, 4, 5}},     {6, {4, 5}},
+                       {7, {0, 1, 2}},        {9, {2, 3}},
+                       {10, {2, 3, 4, 5}},    {11, {0, 1, 4, 5}},
+                       {12, {0, 1, 2, 3, 4, 5}},
+                       {14, {0, 1}},
+                   });
+}
+
+bool RankEmpty(const TsPrefixTree& tree, size_t rank) {
+  return tree.RankBegin(rank) == tree.RankEnd(rank);
+}
+
+/// Ancestor ranks of `node`, root side first, excluding the node itself.
+std::vector<uint32_t> PathOf(const TsPrefixTree& tree, uint32_t node) {
+  std::vector<uint32_t> path;
+  for (uint32_t a = tree.LinkOf(node).parent; a != TsPrefixTree::kNoParent;
+       a = tree.LinkOf(a).parent) {
+    path.insert(path.begin(), tree.LinkOf(a).rank);
+  }
+  return path;
+}
+
+TimestampList ListOf(const TsPrefixTree& tree, uint32_t node) {
+  const std::span<const Timestamp> ts = tree.ListOf(node);
+  return TimestampList(ts.begin(), ts.end());
+}
+
+/// Every node's own (tail) list: the prefix of its accumulated list that
+/// its children's lists do not cover.
+std::vector<TimestampList> OwnLists(const TsPrefixTree& tree) {
+  std::vector<uint32_t> own(tree.NodeCount());
+  for (uint32_t n = 0; n < own.size(); ++n) own[n] = tree.ListLength(n);
+  for (uint32_t n = 0; n < own.size(); ++n) {
+    const uint32_t parent = tree.LinkOf(n).parent;
+    if (parent != TsPrefixTree::kNoParent) own[parent] -= tree.ListLength(n);
+  }
+  std::vector<TimestampList> lists(own.size());
+  for (uint32_t n = 0; n < own.size(); ++n) {
+    const std::span<const Timestamp> ts = tree.ListOf(n);
+    lists[n].assign(ts.begin(), ts.begin() + own[n]);
+  }
+  return lists;
 }
 
 TEST(TsPrefixTreeTest, Figure5bNodeCount) {
@@ -52,17 +101,14 @@ TEST(TsPrefixTreeTest, Lemma2SizeBound) {
 
 TEST(TsPrefixTreeTest, TailTsListsMatchFigure5b) {
   TsPrefixTree tree = BuildPaperTree();
-  // Collect (path+rank -> ts_list) for every rank.
+  // Collect (path+rank -> own ts-list) for every node.
+  const std::vector<TimestampList> own = OwnLists(tree);
   std::map<std::vector<uint32_t>, TimestampList> tails;
-  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
-    tree.ForEachNodeOfRank(
-        rank,
-        [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-          if (ts.empty()) return;
-          std::vector<uint32_t> key = path;
-          key.push_back(static_cast<uint32_t>(rank));
-          tails[key] = ts;
-        });
+  for (uint32_t n = 0; n < tree.NodeCount(); ++n) {
+    if (own[n].empty()) continue;
+    std::vector<uint32_t> key = PathOf(tree, n);
+    key.push_back(tree.LinkOf(n).rank);
+    tails[key] = own[n];
   }
   const std::map<std::vector<uint32_t>, TimestampList> expected = {
       {{0, 1}, {1, 14}},
@@ -82,10 +128,9 @@ TEST(TsPrefixTreeTest, PrefixTreeForItemFMatchesFigure6a) {
   TsPrefixTree tree = BuildPaperTree();
   // Rank 5 = item 'f'. Its prefix paths and ts-lists are Figure 6(a).
   std::map<std::vector<uint32_t>, TimestampList> collected;
-  tree.ForEachNodeOfRank(
-      5, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-        collected[path] = ts;
-      });
+  for (uint32_t n = tree.RankBegin(5); n < tree.RankEnd(5); ++n) {
+    collected[PathOf(tree, n)] = ListOf(tree, n);
+  }
   const std::map<std::vector<uint32_t>, TimestampList> expected = {
       {{0, 1, 4}, {3, 11}},
       {{2, 3, 4}, {5, 10}},
@@ -96,30 +141,19 @@ TEST(TsPrefixTreeTest, PrefixTreeForItemFMatchesFigure6a) {
 }
 
 TEST(TsPrefixTreeTest, PushUpMovesListsToParents) {
+  // Lemma 3's push-up is implicit in the sealed layout: an 'e' node's
+  // list already holds the lists its 'f' children carry (Figure 6(c)),
+  // and nothing is removed from the tree.
   TsPrefixTree tree = BuildPaperTree();
-  tree.PushUpAndRemove(5);
-  EXPECT_EQ(tree.HeadOfRank(5), nullptr);
-  EXPECT_EQ(tree.NodeCount(), 12u);  // Four 'f' nodes removed.
-
-  // Figure 6(c): the 'e' nodes now hold the ts-lists f carried.
+  EXPECT_EQ(tree.NodeCount(), 16u);
   std::multiset<TimestampList> e_lists;
   std::multiset<TimestampList> expected = {{3, 11}, {5, 10}, {6}, {12}};
-  tree.ForEachNodeOfRank(
-      4, [&](const std::vector<uint32_t>&, const TimestampList& ts) {
-        TimestampList sorted = ts;
-        std::sort(sorted.begin(), sorted.end());
-        e_lists.insert(sorted);
-      });
-  EXPECT_EQ(e_lists, expected);
-}
-
-TEST(TsPrefixTreeTest, FullBottomUpConsumesTree) {
-  TsPrefixTree tree = BuildPaperTree();
-  for (size_t rank = tree.num_ranks(); rank-- > 0;) {
-    tree.PushUpAndRemove(rank);
+  for (uint32_t n = tree.RankBegin(4); n < tree.RankEnd(4); ++n) {
+    TimestampList sorted = ListOf(tree, n);
+    std::sort(sorted.begin(), sorted.end());
+    e_lists.insert(sorted);
   }
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.NodeCount(), 0u);
+  EXPECT_EQ(e_lists, expected);
 }
 
 TEST(TsPrefixTreeTest, CollectedTimestampsCoverEachTransactionOnce) {
@@ -130,35 +164,30 @@ TEST(TsPrefixTreeTest, CollectedTimestampsCoverEachTransactionOnce) {
   const size_t expected_support[6] = {8, 7, 7, 6, 6, 6};
   for (size_t rank = tree.num_ranks(); rank-- > 0;) {
     size_t total = 0;
-    tree.ForEachNodeOfRank(
-        rank, [&](const std::vector<uint32_t>&, const TimestampList& ts) {
-          total += ts.size();
-        });
+    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+      total += tree.ListLength(n);
+    }
     EXPECT_EQ(total, expected_support[rank]) << "rank " << rank;
-    tree.PushUpAndRemove(rank);
   }
 }
 
 TEST(TsPrefixTreeTest, InsertPathMergesIdenticalPaths) {
-  TsPrefixTree tree({10, 20});
-  tree.InsertPath({0, 1}, TimestampList{5, 7});
-  tree.InsertPath({0, 1}, TimestampList{9});
+  TsPrefixTree::Builder builder({10, 20});
+  builder.InsertPath({0, 1}, TimestampList{5, 7});
+  builder.InsertPath({0, 1}, TimestampList{9});
+  const TsPrefixTree tree = std::move(builder).Seal();
   EXPECT_EQ(tree.NodeCount(), 2u);
-  size_t calls = 0;
-  tree.ForEachNodeOfRank(
-      1, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-        ++calls;
-        EXPECT_EQ(path, (std::vector<uint32_t>{0}));
-        EXPECT_EQ(ts, (TimestampList{5, 7, 9}));
-      });
-  EXPECT_EQ(calls, 1u);
+  ASSERT_EQ(tree.RankEnd(1) - tree.RankBegin(1), 1u);
+  const uint32_t node = tree.RankBegin(1);
+  EXPECT_EQ(PathOf(tree, node), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(ListOf(tree, node), (TimestampList{5, 7, 9}));
 }
 
 TEST(TsPrefixTreeTest, EmptyInsertIsNoOp) {
-  TsPrefixTree tree({10});
-  tree.InsertTransaction({}, 1);
-  tree.InsertPath({}, TimestampList{1, 2});
-  EXPECT_TRUE(tree.empty());
+  TsPrefixTree::Builder builder({10});
+  builder.InsertTransaction({}, 1);
+  builder.InsertPath({}, TimestampList{1, 2});
+  EXPECT_TRUE(std::move(builder).Seal().empty());
 }
 
 TEST(TsPrefixTreeTest, ItemAtRankMapsBack) {
@@ -169,26 +198,24 @@ TEST(TsPrefixTreeTest, ItemAtRankMapsBack) {
 }
 
 TEST(TsPrefixTreeTest, SharedPrefixesCompress) {
-  TsPrefixTree tree({1, 2, 3});
-  tree.InsertTransaction({0, 1, 2}, 1);
-  tree.InsertTransaction({0, 1, 2}, 2);
-  tree.InsertTransaction({0, 1}, 3);
+  const TsPrefixTree tree =
+      BuildTree({1, 2, 3}, {{1, {0, 1, 2}}, {2, {0, 1, 2}}, {3, {0, 1}}});
   EXPECT_EQ(tree.NodeCount(), 3u);  // One path, shared.
 }
 
-// --- Clone (the query engine's build-once/mine-many primitive) --------------
+// --- Clone: a plain copy of the sealed arrays -------------------------------
 
-/// A rank's (root path, ts-list) pairs in node-link *chain order* — the
-/// order mining visits conditional pattern bases, so equality here implies
-/// bit-identical mining behaviour, counters included.
+/// A rank's (root path, own ts-list) pairs in node-link *chain order* —
+/// the order mining visits conditional pattern bases, so equality here
+/// implies bit-identical mining behaviour, counters included.
 using Chain = std::vector<std::pair<std::vector<uint32_t>, TimestampList>>;
 
 Chain ChainOfRank(const TsPrefixTree& tree, size_t rank) {
+  const std::vector<TimestampList> own = OwnLists(tree);
   Chain chain;
-  tree.ForEachNodeOfRank(
-      rank, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
-        chain.emplace_back(path, ts);
-      });
+  for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+    chain.emplace_back(PathOf(tree, n), own[n]);
+  }
   return chain;
 }
 
@@ -206,11 +233,9 @@ TEST(TsPrefixTreeTest, ClonePreservesStructureAndChainOrder) {
 TEST(TsPrefixTreeTest, CloneIsIndependentOfTheOriginal) {
   TsPrefixTree tree = BuildPaperTree();
   TsPrefixTree clone = tree.Clone();
-  // Consume the clone bottom-up (what mining does); the master is
-  // untouched and can produce further identical clones.
-  for (size_t rank = clone.num_ranks(); rank-- > 0;) {
-    clone.PushUpAndRemove(rank);
-  }
+  // Retire everything from the clone; the original is untouched and can
+  // produce further identical clones.
+  clone.RetireBefore(100);
   EXPECT_TRUE(clone.empty());
   EXPECT_EQ(tree.NodeCount(), 16u);
   TsPrefixTree again = tree.Clone();
@@ -223,23 +248,17 @@ TEST(TsPrefixTreeTest, CloneOfEmptyTree) {
   TsPrefixTree tree({1, 2, 3});
   TsPrefixTree clone = tree.Clone();
   EXPECT_EQ(clone.NodeCount(), 0u);
+  EXPECT_EQ(clone.TimestampCount(), 0u);
   EXPECT_EQ(clone.num_ranks(), 3u);
-  clone.InsertTransaction({0, 2}, 4);  // Still a usable tree.
-  EXPECT_EQ(clone.NodeCount(), 2u);
-  EXPECT_EQ(tree.NodeCount(), 0u);
+  for (size_t rank = 0; rank < 3; ++rank) EXPECT_TRUE(RankEmpty(clone, rank));
 }
 
 // --- RetireBefore: the windowed miner's lazy expiry sweep.
 
-/// Sum of every ts-list entry below `rank_count` ranks via the public walk.
+/// Sum of every node's own list length via the public accessors.
 size_t CountTimestamps(const TsPrefixTree& tree) {
   size_t n = 0;
-  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
-    tree.ForEachNodeOfRank(rank, [&](const std::vector<uint32_t>&,
-                                     const TimestampList& ts) {
-      n += ts.size();
-    });
-  }
+  for (const TimestampList& own : OwnLists(tree)) n += own.size();
   return n;
 }
 
@@ -258,11 +277,8 @@ TEST(TsPrefixTreeTest, RetireBeforeDropsOldTimestampsOnly) {
   // {a,b} (ts 1,14): ts 14 survives, so no node dies here.
   EXPECT_EQ(stats.nodes_retired, nodes_before - tree.NodeCount());
   // No surviving timestamp is below the cutoff.
-  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
-    tree.ForEachNodeOfRank(rank, [&](const std::vector<uint32_t>&,
-                                     const TimestampList& ts) {
-      for (Timestamp t : ts) EXPECT_GE(t, 5);
-    });
+  for (uint32_t n = 0; n < tree.NodeCount(); ++n) {
+    for (Timestamp t : tree.ListOf(n)) EXPECT_GE(t, 5);
   }
 }
 
@@ -270,45 +286,35 @@ TEST(TsPrefixTreeTest, RetireBeforeDetachesEmptyChildlessNodes) {
   // Two leaf paths: {0,1} live only at ts 2, {0} at ts 10. Retiring past
   // 2 must drop the {0,1} leaf (empty + childless) but keep its parent
   // {0}, which still holds ts 10.
-  TsPrefixTree tree({A, B});
-  tree.InsertTransaction({0, 1}, 2);
-  tree.InsertTransaction({0}, 10);
+  TsPrefixTree tree = BuildTree({A, B}, {{2, {0, 1}}, {10, {0}}});
   ASSERT_EQ(tree.NodeCount(), 2u);
   TsPrefixTree::RetireStats stats = tree.RetireBefore(5);
   EXPECT_EQ(stats.timestamps_retired, 1u);
   EXPECT_EQ(stats.nodes_retired, 1u);
   EXPECT_EQ(tree.NodeCount(), 1u);
-  EXPECT_EQ(tree.HeadOfRank(1), nullptr);
-  ASSERT_NE(tree.HeadOfRank(0), nullptr);
-  // The chain of rank 0 is intact and walkable.
-  size_t visits = 0;
-  tree.ForEachNodeOfRank(0, [&](const std::vector<uint32_t>& path,
-                                const TimestampList& ts) {
-    ++visits;
-    EXPECT_TRUE(path.empty());
-    EXPECT_EQ(ts, (TimestampList{10}));
-  });
-  EXPECT_EQ(visits, 1u);
+  EXPECT_TRUE(RankEmpty(tree, 1));
+  ASSERT_EQ(tree.RankEnd(0) - tree.RankBegin(0), 1u);
+  const uint32_t node = tree.RankBegin(0);
+  EXPECT_TRUE(PathOf(tree, node).empty());
+  EXPECT_EQ(ListOf(tree, node), (TimestampList{10}));
 }
 
 TEST(TsPrefixTreeTest, RetireBeforeCascadesUpEmptyPrefixes) {
   // A single deep path whose only timestamp expires: every node on the
   // path empties bottom-up and the whole path is detached.
-  TsPrefixTree tree({A, B, C});
-  tree.InsertTransaction({0, 1, 2}, 3);
+  TsPrefixTree tree = BuildTree({A, B, C}, {{3, {0, 1, 2}}});
   ASSERT_EQ(tree.NodeCount(), 3u);
   TsPrefixTree::RetireStats stats = tree.RetireBefore(100);
   EXPECT_EQ(stats.timestamps_retired, 1u);
   EXPECT_EQ(stats.nodes_retired, 3u);
   EXPECT_EQ(tree.NodeCount(), 0u);
   EXPECT_TRUE(tree.empty());
-  for (size_t rank = 0; rank < 3; ++rank) {
-    EXPECT_EQ(tree.HeadOfRank(rank), nullptr);
-  }
-  // The tree stays usable after a full retire.
-  tree.InsertTransaction({0, 2}, 200);
-  EXPECT_EQ(tree.NodeCount(), 2u);
-  EXPECT_EQ(tree.TimestampCount(), 1u);
+  for (size_t rank = 0; rank < 3; ++rank) EXPECT_TRUE(RankEmpty(tree, rank));
+  // Retiring an empty tree again is a no-op.
+  stats = tree.RetireBefore(200);
+  EXPECT_EQ(stats.timestamps_retired, 0u);
+  EXPECT_EQ(stats.nodes_retired, 0u);
+  EXPECT_EQ(tree.TimestampCount(), 0u);
 }
 
 TEST(TsPrefixTreeTest, RetireBeforeNoOpCutoff) {
@@ -326,24 +332,15 @@ TEST(TsPrefixTreeTest, RetireBeforePreservesChainOrderAndRuns) {
   // Node-link chain order and the sorted-runs property of ts-lists are
   // the determinism contract the miners rely on: after retiring, each
   // surviving list must still be the original subsequence (order kept).
-  TsPrefixTree tree({A, B});
-  tree.InsertTransaction({0, 1}, 1);
-  tree.InsertTransaction({0}, 2);
-  tree.InsertTransaction({0, 1}, 3);
-  tree.InsertTransaction({0}, 4);
-  tree.InsertTransaction({0, 1}, 5);
+  TsPrefixTree tree = BuildTree(
+      {A, B}, {{1, {0, 1}}, {2, {0}}, {3, {0, 1}}, {4, {0}}, {5, {0, 1}}});
   tree.RetireBefore(3);
-  std::vector<TimestampList> lists;
-  tree.ForEachNodeOfRank(1, [&](const std::vector<uint32_t>&,
-                                const TimestampList& ts) {
-    lists.push_back(ts);
-  });
-  ASSERT_EQ(lists.size(), 1u);
-  EXPECT_EQ(lists[0], (TimestampList{3, 5}));
-  tree.ForEachNodeOfRank(0, [&](const std::vector<uint32_t>&,
-                                const TimestampList& ts) {
-    EXPECT_EQ(ts, (TimestampList{4}));
-  });
+  ASSERT_EQ(tree.RankEnd(1) - tree.RankBegin(1), 1u);
+  EXPECT_EQ(ListOf(tree, tree.RankBegin(1)), (TimestampList{3, 5}));
+  ASSERT_EQ(tree.RankEnd(0) - tree.RankBegin(0), 1u);
+  EXPECT_EQ(OwnLists(tree)[tree.RankBegin(0)], (TimestampList{4}));
+  // The accumulated list: own timestamps first, then the child's.
+  EXPECT_EQ(ListOf(tree, tree.RankBegin(0)), (TimestampList{4, 3, 5}));
 }
 
 // --- Move-to-front sibling lists --------------------------------------------
@@ -409,20 +406,6 @@ class FirstTouchModel {
   size_t timestamps_ = 0;
 };
 
-/// Ranks of the root's children, in sibling-list order.
-std::vector<uint32_t> RootChildRanks(const TsPrefixTree& tree) {
-  std::vector<uint32_t> ranks;
-  const TsPrefixTree::Node* any = tree.HeadOfRank(0);
-  if (any == nullptr) return ranks;
-  for (const TsPrefixTree::Node* c = any->parent->first_child; c != nullptr;
-       c = c->next_sibling) {
-    ranks.push_back(c->rank);
-  }
-  return ranks;
-}
-
-using Rows = std::vector<std::pair<Timestamp, std::vector<uint32_t>>>;
-
 /// Later rows step through non-head siblings, at the root and below.
 const Rows& ReorderingRows() {
   static const Rows rows = {
@@ -435,21 +418,13 @@ const Rows& ReorderingRows() {
 }
 
 TsPrefixTree BuildReorderedTree() {
-  TsPrefixTree tree({A, B, C, D});
-  for (const auto& [ts, ranks] : ReorderingRows()) {
-    tree.InsertTransaction(ranks, ts);
-  }
-  return tree;
+  return BuildTree({A, B, C, D}, ReorderingRows());
 }
 
 TEST(TsPrefixTreeTest, MoveToFrontKeepsChainsInFirstTouchOrder) {
   const TsPrefixTree tree = BuildReorderedTree();
-  // Sibling order is access order: the most recently used child first.
-  // A creation-ordered list would read 3,2,1,0.
-  EXPECT_EQ(RootChildRanks(tree), (std::vector<uint32_t>{3, 0, 2, 1}));
-
   // Chains stay in creation (first-touch) order and ts-lists in database
-  // order, whatever the sibling lists look like.
+  // order, whatever the builder's sibling lists looked like.
   const TreeSnapshot snap = Snapshot(tree);
   EXPECT_EQ(snap.by_rank[2], (Chain{{{0}, {1, 6}}, {{1}, {2}}, {{}, {3, 8}}}));
   EXPECT_EQ(snap.by_rank[3], (Chain{{{}, {4, 10}}, {{0}, {5, 9}}, {{1}, {7}}}));
@@ -488,15 +463,16 @@ TEST(TsPrefixTreeTest, CloneAfterMoveToFront) {
 }
 
 TEST(TsPrefixTreeTest, PushUpAfterMoveToFront) {
-  // Unlinking walks the (reordered) sibling lists; bottom-up mining still
-  // collects, at every rank, exactly the transactions containing it.
-  TsPrefixTree tree = BuildReorderedTree();
+  // Bottom-up, every rank's accumulated lists hold exactly the
+  // transactions containing it — the push-up invariant, read straight
+  // off the sealed layout.
+  const TsPrefixTree tree = BuildReorderedTree();
   for (size_t rank = tree.num_ranks(); rank-- > 0;) {
     TimestampList collected;
-    tree.ForEachNodeOfRank(
-        rank, [&](const std::vector<uint32_t>&, const TimestampList& ts) {
-          collected.insert(collected.end(), ts.begin(), ts.end());
-        });
+    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+      const std::span<const Timestamp> ts = tree.ListOf(n);
+      collected.insert(collected.end(), ts.begin(), ts.end());
+    }
     std::sort(collected.begin(), collected.end());
     TimestampList want;
     for (const auto& [ts, ranks] : ReorderingRows()) {
@@ -505,10 +481,8 @@ TEST(TsPrefixTreeTest, PushUpAfterMoveToFront) {
       }
     }
     EXPECT_EQ(collected, want) << "rank " << rank;
-    tree.PushUpAndRemove(rank);
-    EXPECT_EQ(tree.HeadOfRank(rank), nullptr);
   }
-  EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(tree.NodeCount(), 8u);  // Reading consumes nothing.
 }
 
 TEST(TsPrefixTreeTest, RetireBeforeAfterMoveToFront) {
@@ -523,9 +497,7 @@ TEST(TsPrefixTreeTest, RetireBeforeAfterMoveToFront) {
   EXPECT_EQ(snap.by_rank[3], (Chain{{{}, {10}}, {{0}, {9}}, {{1}, {7}}}));
   EXPECT_EQ(snap.node_count, 7u);
   EXPECT_EQ(snap.timestamp_count, 5u);
-  // The swept tree keeps serving inserts and clones.
-  tree.InsertTransaction({1, 2}, 11);
-  EXPECT_EQ(Snapshot(tree.Clone()), Snapshot(tree));
+  EXPECT_EQ(Snapshot(tree.Clone()), snap);
 }
 
 TEST(TsPrefixTreeTest, InsertPathMoveToFrontKeepsChainsInFirstTouchOrder) {
@@ -536,13 +508,13 @@ TEST(TsPrefixTreeTest, InsertPathMoveToFrontKeepsChainsInFirstTouchOrder) {
       {{0, 1}, {6, 9}},  // Under 0, siblings 2,1: 1 moves to the front.
       {{1, 2}, {7}}, {{0, 2}, {8}},
   };
-  TsPrefixTree tree({A, B, C});
+  TsPrefixTree::Builder builder({A, B, C});
   FirstTouchModel model(3);
   for (const auto& [ranks, ts] : paths) {
-    tree.InsertPath(ranks, ts);
+    builder.InsertPath(ranks, ts);
     model.Insert(ranks, ts);
   }
-  EXPECT_EQ(RootChildRanks(tree), (std::vector<uint32_t>{0, 1, 2}));
+  const TsPrefixTree tree = std::move(builder).Seal();
   const TreeSnapshot snap = Snapshot(tree);
   EXPECT_EQ(snap.by_rank[1], (Chain{{{0}, {1, 4, 6, 9}}, {{}, {2}}}));
   EXPECT_EQ(snap.by_rank[2], (Chain{{{}, {3}}, {{0}, {5, 8}}, {{1}, {7}}}));
@@ -610,6 +582,253 @@ TEST(TreeBuildTest, MemoryBudgetTripsBuild) {
   EXPECT_TRUE(budget.hard_stopped());
   EXPECT_EQ(budget.stop_reason(), StopReason::kMemory);
   EXPECT_LT(tree.TimestampCount(), prepared.tree.TimestampCount());
+}
+
+// --- Differential layout test: sealed tree vs explicit push-up -------------
+
+/// Reference RP-tree as the paper describes it: pointer-linked nodes with
+/// one ts-list each, rank chains in creation order, and Lemma 3's push-up
+/// run explicitly after each rank is read.
+class PushUpTree {
+ public:
+  explicit PushUpTree(size_t num_ranks) : chains_(num_ranks), nodes_(1) {}
+
+  void Insert(const std::vector<uint32_t>& ranks,
+              std::span<const Timestamp> ts) {
+    if (ranks.empty()) return;
+    size_t node = 0;
+    for (uint32_t rank : ranks) {
+      auto found = nodes_[node].children.find(rank);
+      if (found != nodes_[node].children.end()) {
+        node = found->second;
+        continue;
+      }
+      const size_t child = nodes_.size();
+      nodes_[node].children.emplace(rank, child);
+      nodes_.push_back(Node{rank, node, {}, {}});
+      chains_[rank].push_back(child);
+      node = child;
+    }
+    nodes_[node].ts.insert(nodes_[node].ts.end(), ts.begin(), ts.end());
+  }
+
+  /// (path, list) of each live node of `rank`, in chain order.
+  Chain ChainOf(size_t rank) const {
+    Chain chain;
+    for (size_t n : chains_[rank]) {
+      if (!nodes_[n].live) continue;
+      std::vector<uint32_t> path;
+      for (size_t a = nodes_[n].parent; a != 0; a = nodes_[a].parent) {
+        path.insert(path.begin(), nodes_[a].rank);
+      }
+      chain.emplace_back(path, nodes_[n].ts);
+    }
+    return chain;
+  }
+
+  /// Algorithm 4 line 9: append every list of `rank` to its parent's and
+  /// detach the nodes (the root discards what reaches it).
+  void PushUp(size_t rank) {
+    for (size_t n : chains_[rank]) {
+      if (!nodes_[n].live) continue;
+      const size_t parent = nodes_[n].parent;
+      if (parent != 0) {
+        nodes_[parent].ts.insert(nodes_[parent].ts.end(),
+                                 nodes_[n].ts.begin(), nodes_[n].ts.end());
+      }
+      Detach(n);
+    }
+  }
+
+  /// The pre-sealing sweep: filter every list, then detach empty childless
+  /// nodes deepest rank first, so emptied prefixes cascade.
+  TsPrefixTree::RetireStats Retire(Timestamp cutoff) {
+    TsPrefixTree::RetireStats stats;
+    for (Node& node : nodes_) {
+      if (!node.live) continue;
+      const size_t before = node.ts.size();
+      std::erase_if(node.ts, [cutoff](Timestamp t) { return t < cutoff; });
+      stats.timestamps_retired += before - node.ts.size();
+    }
+    for (size_t rank = chains_.size(); rank-- > 0;) {
+      for (size_t n : chains_[rank]) {
+        if (nodes_[n].live && nodes_[n].ts.empty() &&
+            nodes_[n].children.empty()) {
+          Detach(n);
+          ++stats.nodes_retired;
+        }
+      }
+    }
+    return stats;
+  }
+
+  size_t NodeCount() const {
+    size_t count = 0;
+    for (size_t n = 1; n < nodes_.size(); ++n) count += nodes_[n].live;
+    return count;
+  }
+
+  size_t TimestampCount() const {
+    size_t count = 0;
+    for (size_t n = 1; n < nodes_.size(); ++n) {
+      if (nodes_[n].live) count += nodes_[n].ts.size();
+    }
+    return count;
+  }
+
+ private:
+  struct Node {
+    uint32_t rank = 0;
+    size_t parent = 0;
+    std::map<uint32_t, size_t> children;
+    TimestampList ts;
+    bool live = true;
+  };
+
+  void Detach(size_t n) {
+    nodes_[n].live = false;
+    nodes_[nodes_[n].parent].children.erase(nodes_[n].rank);
+  }
+
+  std::vector<std::vector<size_t>> chains_;
+  std::vector<Node> nodes_;  // [0] is the root.
+};
+
+/// Walks `sealed` bottom-up against `ref`: at every rank, the chain order,
+/// every node's ancestor ranks and its accumulated list must equal what
+/// explicit push-up has produced by then.
+void ExpectSameBottomUp(const TsPrefixTree& sealed, PushUpTree ref,
+                        const std::string& context) {
+  ASSERT_EQ(sealed.NodeCount(), ref.NodeCount()) << context;
+  ASSERT_EQ(sealed.TimestampCount(), ref.TimestampCount()) << context;
+  for (size_t rank = sealed.num_ranks(); rank-- > 0;) {
+    Chain got;
+    for (uint32_t n = sealed.RankBegin(rank); n < sealed.RankEnd(rank); ++n) {
+      EXPECT_EQ(sealed.LinkOf(n).rank, rank) << context;
+      got.emplace_back(PathOf(sealed, n), ListOf(sealed, n));
+    }
+    EXPECT_EQ(got, ref.ChainOf(rank)) << context << " rank " << rank;
+    ref.PushUp(rank);
+  }
+}
+
+/// One insert of a random sequence: a rank path and the list it carries.
+struct InsertOp {
+  std::vector<uint32_t> ranks;
+  TimestampList ts;
+};
+
+/// Random InsertPath sequences: repeated paths, empty paths, empty lists,
+/// and lists made of several sorted runs.
+std::vector<InsertOp> RandomPathOps(std::mt19937_64& rng, size_t num_ranks) {
+  std::uniform_int_distribution<int> percent(0, 99);
+  std::uniform_int_distribution<Timestamp> value(0, 60);
+  const size_t count = 1 + rng() % 40;
+  std::vector<InsertOp> ops;
+  for (size_t i = 0; i < count; ++i) {
+    InsertOp op;
+    if (!ops.empty() && percent(rng) < 30) {
+      op.ranks = ops[rng() % ops.size()].ranks;
+    } else {
+      for (uint32_t r = 0; r < num_ranks; ++r) {
+        if (percent(rng) < 35) op.ranks.push_back(r);
+      }
+    }
+    if (percent(rng) >= 15) {
+      const size_t runs = 1 + rng() % 3;
+      for (size_t k = 0; k < runs; ++k) {
+        TimestampList run(1 + rng() % 4);
+        for (Timestamp& t : run) t = value(rng);
+        std::sort(run.begin(), run.end());
+        op.ts.insert(op.ts.end(), run.begin(), run.end());
+      }
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+/// Random transactions in ascending timestamp order.
+std::vector<InsertOp> RandomTransactionOps(std::mt19937_64& rng,
+                                           size_t num_ranks) {
+  std::uniform_int_distribution<int> percent(0, 99);
+  const size_t count = 1 + rng() % 60;
+  std::vector<InsertOp> ops;
+  Timestamp ts = 0;
+  for (size_t i = 0; i < count; ++i) {
+    InsertOp op;
+    for (uint32_t r = 0; r < num_ranks; ++r) {
+      if (percent(rng) < 40) op.ranks.push_back(r);
+    }
+    ts += 1 + static_cast<Timestamp>(rng() % 3);
+    op.ts = {ts};
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+/// Builds the sealed tree and the reference from the same inserts.
+std::pair<TsPrefixTree, PushUpTree> BuildBoth(const std::vector<InsertOp>& ops,
+                                             size_t num_ranks,
+                                             bool as_transactions) {
+  std::vector<ItemId> items(num_ranks);
+  for (size_t r = 0; r < num_ranks; ++r) items[r] = static_cast<ItemId>(r);
+  TsPrefixTree::Builder builder(items);
+  PushUpTree ref(num_ranks);
+  for (const InsertOp& op : ops) {
+    if (as_transactions) {
+      builder.InsertTransaction(op.ranks, op.ts.front());
+    } else {
+      builder.InsertPath(op.ranks, op.ts);
+    }
+    ref.Insert(op.ranks, op.ts);
+  }
+  return {std::move(builder).Seal(), std::move(ref)};
+}
+
+TEST(SealedLayoutTest, RandomPathsMatchExplicitPushUp) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t num_ranks = 1 + rng() % 8;
+    const std::vector<InsertOp> ops = RandomPathOps(rng, num_ranks);
+    auto [sealed, ref] = BuildBoth(ops, num_ranks, false);
+    ExpectSameBottomUp(sealed, std::move(ref), "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SealedLayoutTest, RandomTransactionsMatchExplicitPushUp) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t num_ranks = 1 + rng() % 8;
+    const std::vector<InsertOp> ops = RandomTransactionOps(rng, num_ranks);
+    auto [sealed, ref] = BuildBoth(ops, num_ranks, true);
+    ExpectSameBottomUp(sealed, std::move(ref), "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SealedLayoutTest, RetireBeforeMatchesReferenceSweep) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t num_ranks = 1 + rng() % 8;
+    const bool as_transactions = seed % 2 == 0;
+    const std::vector<InsertOp> ops =
+        as_transactions ? RandomTransactionOps(rng, num_ranks)
+                        : RandomPathOps(rng, num_ranks);
+    auto [sealed, ref] = BuildBoth(ops, num_ranks, as_transactions);
+    // Two successive sweeps at random (non-decreasing) cutoffs, which may
+    // fall before, inside or past the stored timestamps.
+    Timestamp cutoff = static_cast<Timestamp>(rng() % 40) - 5;
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      const std::string context = "seed " + std::to_string(seed) +
+                                  " cutoff " + std::to_string(cutoff);
+      const TsPrefixTree::RetireStats got = sealed.RetireBefore(cutoff);
+      const TsPrefixTree::RetireStats want = ref.Retire(cutoff);
+      EXPECT_EQ(got.timestamps_retired, want.timestamps_retired) << context;
+      EXPECT_EQ(got.nodes_retired, want.nodes_retired) << context;
+      ExpectSameBottomUp(sealed, ref, context);
+      cutoff += static_cast<Timestamp>(rng() % 30);
+    }
+  }
 }
 
 }  // namespace
