@@ -8,9 +8,10 @@
 // The dense-synthetic workload is the kernel's target regime: a small
 // hashtag universe dominated by long planted burst events, so transaction
 // shapes repeat for stretches and tree tail-lists carry long sorted runs
-// (avg run length ~48 at scale 1, vs ~3 on Twitter). The Table-7 datasets
-// bound the other end — heavily fragmented runs, where the kernel must
-// match (not beat) the concat+sort path it replaced.
+// (~500 timestamps per merged run at scale 1, vs ~1.7-5 on the Table-7
+// datasets). The Table-7 datasets bound the other end — heavily
+// fragmented runs, where the kernel must match (not beat) the
+// concat+sort path it replaced.
 //
 // Pre-change comparison: export RPM_BENCH_BASELINE="name:mine_s,..."
 // (mine-phase seconds of the pre-kernel binary at the same scale and

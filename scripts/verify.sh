@@ -162,15 +162,19 @@ echo "== stage 8: AddressSanitizer over the parsers + fault campaign =="
 # differential loader test and the garbage-input rounds) run here too.
 # The sealed RP-tree is index arithmetic into one timestamp slab, so the
 # tree suite (with its differential layout test) and the parallel miner
-# suite run here as well.
+# suite run here as well. A pattern base's sorted path lists point into a
+# per-frame slab and into the parent frame's accumulators, and a child
+# level reads its TS^beta from those accumulators while it mines, so the
+# miner suite (with its fragmenting fixtures) runs here too.
 cmake -B build-asan -S . -DRPM_SANITIZE=address \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j"${JOBS}" --target rpminer io_test \
-      robustness_test rp_tree_test rp_growth_parallel_test
+      robustness_test rp_tree_test rp_growth_test rp_growth_parallel_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/io_test
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/tests/robustness_test --gtest_filter='ParserRobustnessTest.*'
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_tree_test
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_parallel_test
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/src/rpminer verify --cases=200 --seed=7

@@ -22,8 +22,9 @@ namespace {
 
 /// One (prefix path, ts-list) element of a conditional pattern base. The
 /// ancestor ranks live in the owning frame's flat rank storage (no
-/// per-path heap allocation); the ts-list is a range of the sealed tree's
-/// slab and is a concatenation of sorted runs.
+/// per-path heap allocation). The ts-list starts as a range of the mined
+/// tree's slab (a concatenation of sorted runs); SortPaths replaces it
+/// with a sorted list before the path enters a conditional tree.
 struct PathRef {
   uint32_t ranks_begin = 0;  // Offset into the frame's rank storage.
   uint32_t ranks_len = 0;
@@ -33,22 +34,23 @@ struct PathRef {
 /// Per-recursion-level scratch. Frames are pooled by depth and reused
 /// across every subproblem mined at that depth, so after warm-up a whole
 /// mining run performs no per-level allocations. A frame's buffers stay
-/// live while deeper levels recurse (paths/rank_storage/ts_beta are read
-/// by the level's own MineCollected tail), which is why frames are pooled
+/// live while deeper levels recurse — the child level reads its TS^beta
+/// lists from the kept entries of acc — which is why frames are pooled
 /// per depth rather than shared.
 struct Frame {
   // Conditional-pattern-base collection (CollectAndMine):
   std::vector<PathRef> paths;
   std::vector<uint32_t> rank_storage;   ///< Flat ancestor-rank slab.
   std::vector<TsRun> beta_runs;         ///< Run descriptors for TS^beta.
-  TimestampList ts_beta;                ///< Merged TS^beta slab.
+  TimestampList ts_beta;                ///< Merged TS^beta (top level).
   std::vector<PeriodicInterval> intervals;  ///< Fused-gate output.
   // Conditional-tree construction (BuildConditionalAndRecurse); acc and
   // runs_by_rank are indexed by parent rank and grow-only, with only the
   // touched entries cleared after use.
+  TimestampList sorted_paths;           ///< Paths' sorted lists (SortPaths).
+  std::vector<TsRun> path_runs;         ///< One path's run split.
   std::vector<TimestampList> acc;           ///< Merged TS^{beta+item}.
   std::vector<std::vector<TsRun>> runs_by_rank;
-  std::vector<TsRun> path_runs;         ///< One path's run split.
   std::vector<uint32_t> touched;
   std::vector<uint32_t> kept;
   std::vector<uint32_t> new_rank_of;
@@ -58,7 +60,8 @@ struct Frame {
     size_t bytes = paths.capacity() * sizeof(PathRef) +
                    rank_storage.capacity() * sizeof(uint32_t) +
                    beta_runs.capacity() * sizeof(TsRun) +
-                   ts_beta.capacity() * sizeof(Timestamp) +
+                   (ts_beta.capacity() + sorted_paths.capacity()) *
+                       sizeof(Timestamp) +
                    intervals.capacity() * sizeof(PeriodicInterval) +
                    path_runs.capacity() * sizeof(TsRun) +
                    (touched.capacity() + kept.capacity() +
@@ -138,7 +141,7 @@ class Miner {
                       uint64_t cap_headroom) {
     BeginSubproblem(cap_headroom);
     Itemset suffix;
-    CollectAndMine(tree, rank, &suffix);
+    CollectAndMine(tree, rank, nullptr, &suffix);
     return CurrentOutcome();
   }
 
@@ -170,14 +173,18 @@ class Miner {
     return false;
   }
 
-  /// Algorithm 4 over one conditional tree. `suffix` holds the items of
-  /// alpha. Push-up is implicit in the sealed layout: by the time a rank
-  /// is mined, its nodes' slab ranges are the pushed-up lists.
-  void MineTree(const TsPrefixTree& tree, Itemset* suffix) {
+  /// Algorithm 4 over the conditional tree `parent` built. `suffix` holds
+  /// the items of alpha. Push-up is implicit in the sealed layout: by the
+  /// time a rank is mined, its nodes' slab ranges are the pushed-up lists.
+  /// Conditional rank nr's TS^beta is the parent's kept accumulator
+  /// acc[kept[nr]], merged for its gate, so it is handed down, not merged
+  /// again.
+  void MineTree(const TsPrefixTree& tree, const Frame& parent,
+                Itemset* suffix) {
     for (size_t rank = tree.num_ranks(); rank-- > 0;) {
       if (ShouldStop()) return;
       if (tree.RankBegin(rank) != tree.RankEnd(rank)) {
-        CollectAndMine(tree, rank, suffix);
+        CollectAndMine(tree, rank, &parent.acc[parent.kept[rank]], suffix);
       }
     }
   }
@@ -193,12 +200,14 @@ class Miner {
                                        &scratch_->gate) >= params_.min_rec;
   }
 
-  /// Collects the conditional pattern base of the item at `rank` and
-  /// TS^beta's sorted runs in one walk over the rank's nodes in chain
-  /// order, then merges and mines it. Ancestor ranks go from the parent
-  /// links straight into the frame's flat slab.
+  /// Collects the conditional pattern base of the item at `rank` in one
+  /// walk over the rank's nodes in chain order, then mines it. Ancestor
+  /// ranks go from the parent links straight into the frame's flat slab.
+  /// `handed` is TS^beta when the parent level already merged it; only
+  /// the top-level ranks of the sealed tree (handed == nullptr) merge
+  /// TS^beta from the nodes' sorted runs here.
   void CollectAndMine(const TsPrefixTree& tree, size_t rank,
-                      Itemset* suffix) {
+                      const TimestampList* handed, Itemset* suffix) {
     Frame& frame = scratch_->FrameAt(depth_);
     frame.paths.clear();
     frame.rank_storage.clear();
@@ -217,27 +226,33 @@ class Miner {
                    frame.rank_storage.end());
       frame.paths.push_back({static_cast<uint32_t>(begin),
                              static_cast<uint32_t>(len), ts});
-      AppendSortedRuns(ts, &frame.beta_runs);
+      if (handed == nullptr) AppendSortedRuns(ts, &frame.beta_runs);
     }
-    if (frame.beta_runs.empty()) return;  // No timestamps at this rank.
-    MergeSortedRuns(frame.beta_runs.data(), frame.beta_runs.size(),
-                    &frame.ts_beta, &scratch_->merge, &scratch_->counters);
-    MineCollected(tree.items_by_rank(), frame, tree.ItemAtRank(rank), suffix);
+    if (handed == nullptr) {
+      if (frame.beta_runs.empty()) return;  // No timestamps at this rank.
+      MergeSortedRuns(frame.beta_runs.data(), frame.beta_runs.size(),
+                      &frame.ts_beta, &scratch_->merge, &scratch_->counters);
+      handed = &frame.ts_beta;
+    }
+    MineCollected(tree.items_by_rank(), frame, *handed,
+                  tree.ItemAtRank(rank), suffix);
   }
 
   /// Tail of CollectAndMine: the fused gate + getRecurrence (Algorithm 5)
   /// and the conditional recursion for suffix item `item`. `frame` is this
-  /// depth's frame holding the conditional pattern base and its merged,
-  /// nonempty TS^beta.
+  /// depth's frame holding the conditional pattern base; `ts_beta` is its
+  /// merged, nonempty TS^beta.
   void MineCollected(const std::vector<ItemId>& items_by_rank, Frame& frame,
-                     ItemId item, Itemset* suffix) {
+                     const TimestampList& ts_beta, ItemId item,
+                     Itemset* suffix) {
     if (ShouldStop()) return;
-    const TimestampList& ts_beta = frame.ts_beta;
     ++result_->stats.patterns_examined;
 
     // One scan decides the gate AND yields IPI^beta for getRecurrence —
     // previously the Erec gate scanned ts_beta and FindInterestingIntervals
-    // rescanned every surviving list.
+    // rescanned every surviving list. A handed-down TS^beta always passes
+    // (its parent kept it on the same bound); the scan still yields the
+    // intervals.
     bool gate_passed;
     if (options_.pruning == PruningMode::kSupportOnly) {
       gate_passed = ts_beta.size() >= params_.min_ps * params_.min_rec;
@@ -277,34 +292,69 @@ class Miner {
     const bool depth_ok = options_.max_pattern_length == 0 ||
                           suffix->size() < options_.max_pattern_length;
     if (depth_ok && !overflowed_) {
-      BuildConditionalAndRecurse(items_by_rank, frame, suffix);
+      BuildConditionalAndRecurse(items_by_rank, frame, ts_beta, suffix);
     }
     suffix->pop_back();
   }
 
+  /// Replaces every path's ts-list with a sorted one, so each path adds
+  /// one run per rank on it and enters the conditional tree as one run.
+  /// The paths' lists partition TS^beta: a lone path's sorted list is
+  /// `ts_beta` itself, a list that is already one run stays in place, and
+  /// any other list is merged once into the frame's sorted_paths slab.
+  void SortPaths(Frame& frame, const TimestampList& ts_beta) {
+    PathRef* lone = nullptr;
+    size_t with_ts = 0;
+    for (PathRef& pr : frame.paths) {
+      if (pr.ts.empty()) continue;
+      lone = &pr;
+      ++with_ts;
+    }
+    if (with_ts == 1) {
+      RPM_DCHECK(lone->ts.size() == ts_beta.size());
+      lone->ts = ts_beta;
+      return;
+    }
+    // The slab's size only grows, so its fill is paid once per frame.
+    if (frame.sorted_paths.size() < ts_beta.size()) {
+      frame.sorted_paths.resize(ts_beta.size());
+    }
+    Timestamp* cursor = frame.sorted_paths.data();
+    for (PathRef& pr : frame.paths) {
+      if (pr.ts.empty()) continue;
+      frame.path_runs.clear();
+      AppendSortedRuns(pr.ts, &frame.path_runs);
+      if (frame.path_runs.size() == 1) continue;
+      Timestamp* const end =
+          MergeSortedRunsInto(frame.path_runs.data(), frame.path_runs.size(),
+                              cursor, &scratch_->merge, &scratch_->counters);
+      pr.ts = {cursor, end};
+      cursor = end;
+    }
+    RPM_DCHECK(cursor <= frame.sorted_paths.data() + ts_beta.size());
+  }
+
   void BuildConditionalAndRecurse(const std::vector<ItemId>& items_by_rank,
-                                  Frame& frame, Itemset* suffix) {
+                                  Frame& frame, const TimestampList& ts_beta,
+                                  Itemset* suffix) {
     if (ShouldStop()) return;
     const size_t nranks = items_by_rank.size();
     if (frame.acc.size() < nranks) frame.acc.resize(nranks);
     if (frame.runs_by_rank.size() < nranks) frame.runs_by_rank.resize(nranks);
+    SortPaths(frame, ts_beta);
 
-    // Map every node's ts-list onto all items of its path ("temporary
-    // array, one for each item" in Sec. 4.2.3) — as run descriptors, split
-    // once per path and shared by all of the path's ranks, so
-    // runs_by_rank[r] describes TS^{beta + item_at_rank_r}.
+    // Map every path's sorted ts-list onto all items of its path
+    // ("temporary array, one for each item" in Sec. 4.2.3), as one run
+    // descriptor per path, so runs_by_rank[r] describes
+    // TS^{beta + item_at_rank_r}.
     frame.touched.clear();
     for (const PathRef& pr : frame.paths) {
       if (pr.ts.empty()) continue;
-      frame.path_runs.clear();
-      AppendSortedRuns(pr.ts, &frame.path_runs);
       const uint32_t* path_ranks = frame.rank_storage.data() + pr.ranks_begin;
       for (uint32_t k = 0; k < pr.ranks_len; ++k) {
         const uint32_t r = path_ranks[k];
         if (frame.runs_by_rank[r].empty()) frame.touched.push_back(r);
-        frame.runs_by_rank[r].insert(frame.runs_by_rank[r].end(),
-                                     frame.path_runs.begin(),
-                                     frame.path_runs.end());
+        frame.runs_by_rank[r].push_back({pr.ts.data(), pr.ts.size()});
       }
     }
     if (frame.touched.empty()) return;
@@ -346,9 +396,6 @@ class Miner {
       frame.new_rank_of[frame.kept[nr]] = nr;
       cond_items_by_rank[nr] = items_by_rank[frame.kept[nr]];
     }
-    // The merged accumulators are fully consumed (gate + ordering); release
-    // their contents so the slabs only pin their high-water capacity.
-    for (uint32_t r : frame.touched) frame.acc[r].clear();
 
     TsPrefixTree::Builder builder(std::move(cond_items_by_rank));
     for (const PathRef& pr : frame.paths) {
@@ -372,10 +419,13 @@ class Miner {
     }
     if (!cond.empty()) {
       ++depth_;
-      MineTree(cond, suffix);
+      MineTree(cond, frame, suffix);
       --depth_;
     }
     if (budget != nullptr) budget->ReleaseTrackedBytes(cond_bytes);
+    // The kept accumulators were the child's TS^beta lists; release their
+    // contents so the slabs only pin their high-water capacity.
+    for (uint32_t r : frame.touched) frame.acc[r].clear();
   }
 
   const RpParams& params_;

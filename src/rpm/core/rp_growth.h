@@ -84,8 +84,11 @@ struct RpGrowthStats {
   size_t patterns_examined = 0;     ///< Suffix growths whose gate was run.
   size_t patterns_emitted = 0;      ///< Recurring patterns found.
   size_t threads_used = 1;          ///< Mining-phase worker count.
-  // Ts-list merge-kernel counters (src/rpm/core/ts_merge.h). All three are
-  // schedule-invariant: parallel runs report exactly the sequential values.
+  // Ts-list merge-kernel counters (src/rpm/core/ts_merge.h). They count
+  // every kernel call: top-level TS^beta merges, the once-per-path sorts
+  // of multi-run pattern-base lists, and the TS^{beta+i} merges. All three
+  // are schedule-invariant: parallel runs report exactly the sequential
+  // values.
   size_t merge_invocations = 0;     ///< Run-merge kernel calls.
   size_t runs_merged = 0;           ///< Sorted runs consumed by the kernel.
   size_t timestamps_merged = 0;     ///< Timestamps written by the kernel.
@@ -94,9 +97,10 @@ struct RpGrowthStats {
   // the data and params, never on the worker schedule.
   size_t gate_lists_scanned = 0;    ///< Gate / interval scans performed.
   size_t gate_gaps_scanned = 0;     ///< Timestamp gaps evaluated in scans.
-  /// Peak bytes retained by the miner scratch pools (frames, run
-  /// descriptors, merge and mask buffers). Sequential: the single pool's
-  /// high-water mark; parallel: the largest per-worker pool.
+  /// Peak bytes retained by the miner scratch pools (frames with their
+  /// sorted-path slabs and accumulators, run descriptors, merge and mask
+  /// buffers). Sequential: the single pool's high-water mark; parallel:
+  /// the largest per-worker pool.
   size_t scratch_bytes_peak = 0;
   /// Bytes retained across ALL scratch pools together — the number
   /// comparable between thread counts (equals scratch_bytes_peak when

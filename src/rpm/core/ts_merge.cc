@@ -113,10 +113,19 @@ void AppendSortedRuns(std::span<const Timestamp> ts,
 
 void MergeSortedRuns(const TsRun* runs, size_t num_runs, TimestampList* out,
                      MergeScratch* scratch, MergeCounters* counters) {
+  size_t total = 0;
+  for (size_t i = 0; i < num_runs; ++i) total += runs[i].size;
+  out->resize(total);
+  MergeSortedRunsInto(runs, num_runs, out->data(), scratch, counters);
+}
+
+Timestamp* MergeSortedRunsInto(const TsRun* runs, size_t num_runs,
+                               Timestamp* dst, MergeScratch* scratch,
+                               MergeCounters* counters) {
   ++counters->merge_invocations;
 
-  // Compact away empty runs and size the output once: every branch below
-  // writes exactly `total` elements through a raw cursor.
+  // Compact away empty runs: every branch below writes exactly `total`
+  // elements through a raw cursor.
   std::vector<TsRun>& active = scratch->active;
   active.clear();
   size_t total = 0;
@@ -127,27 +136,29 @@ void MergeSortedRuns(const TsRun* runs, size_t num_runs, TimestampList* out,
   }
   counters->runs_merged += active.size();
   counters->timestamps_merged += total;
-  out->resize(total);
-  if (active.empty()) return;
-  Timestamp* dst = out->data();
+  Timestamp* const end = dst + total;
+  if (active.empty()) return end;
 
   if (active.size() == 1) {
     CopyBlock(active[0].data, active[0].size, dst);
-    return;
+    return end;
   }
   if (active.size() == 2) {
     MergeTwo(active[0], active[1], dst);
-    return;
+    return end;
   }
 
-  // Fragmented inputs — many tiny runs (deep conditional levels shred
-  // ts-lists into few-element pieces) — interleave too finely for any
+  // Fragmented inputs — many tiny runs (a sparse tree's nodes hold
+  // few-timestamp own lists) — interleave too finely for any
   // k-way scheme to beat introsort: concatenate and sort, exactly the
   // pre-kernel path and byte-identical output.
   if (total < active.size() * kFragmentedAvgRunLen) {
-    for (const TsRun& run : active) dst = CopyBlock(run.data, run.size, dst);
-    std::sort(out->begin(), out->end());
-    return;
+    Timestamp* cursor = dst;
+    for (const TsRun& run : active) {
+      cursor = CopyBlock(run.data, run.size, cursor);
+    }
+    std::sort(dst, end);
+    return end;
   }
 
   // k >= 3 runs: bottom-up natural mergesort. Each round halves the run
@@ -160,7 +171,7 @@ void MergeSortedRuns(const TsRun* runs, size_t num_runs, TimestampList* out,
   //
   // The first round merges straight out of the caller's runs into `ping`;
   // later rounds ping-pong between the slabs; the final two-run round
-  // writes into `out`. `bounds` holds run boundaries and is compacted in
+  // writes into `dst`. `bounds` holds run boundaries and is compacted in
   // place (new bound j = old bound 2j, written only after it is read).
   std::vector<size_t>& bounds = scratch->bounds;
   bounds.clear();
@@ -206,6 +217,7 @@ void MergeSortedRuns(const TsRun* runs, size_t num_runs, TimestampList* out,
   }
   RPM_DCHECK(k == 2);
   MergeTwo({src, bounds[1]}, {src + bounds[1], bounds[2] - bounds[1]}, dst);
+  return end;
 }
 
 }  // namespace rpm

@@ -1,20 +1,23 @@
 // Run-aware ts-list merge kernel for the RP-growth hot path.
 //
-// RP-growth spends most of its time assembling TS^beta lists: at every
-// conditional level the miner unions the ts-lists of a rank's nodes. Those
+// RP-growth spends most of its time assembling sorted ts-lists. Those
 // lists are never random — each one is a concatenation of sorted runs
 // (transactions arrive in timestamp order, and InsertPath and the sealed
 // tree's accumulated ranges only ever concatenate whole sorted lists), so
 // sorting the concatenation with std::sort discards structure the RP-tree
-// maintained all along. This
-// kernel exploits it: split every contribution into its maximal sorted
-// runs (AppendSortedRuns — O(n), one run for an already-sorted list) and
-// merge the runs (MergeSortedRuns — adaptive two-run fast path, bottom-up
-// natural mergesort over ping-pong buffers for k runs, introsort fallback
-// when runs degenerate to a few elements each). The output is the sorted
-// union, element-for-element identical to concat + std::sort, in
-// O(n log k) instead of O(n log n) — and O(n) straight block copies when
-// the runs barely interleave.
+// maintained all along. The miner merges in three places: TS^beta of a
+// top-level rank (its nodes' ranges), each pattern-base path's list
+// before it enters a conditional tree (sorted once, so every list a
+// conditional tree receives is one run), and TS^{beta+i} for every item
+// of a pattern base (one sorted run per path containing i). This kernel
+// exploits the run structure: split every contribution into its maximal
+// sorted runs (AppendSortedRuns — O(n), one run for an already-sorted
+// list) and merge the runs (MergeSortedRuns — adaptive two-run fast path,
+// bottom-up natural mergesort over ping-pong buffers for k runs,
+// introsort fallback when runs degenerate to a few elements each). The
+// output is the sorted union, element-for-element identical to concat +
+// std::sort, in O(n log k) instead of O(n log n) — and O(n) straight
+// block copies when the runs barely interleave.
 //
 // All scratch lives in caller-owned MergeScratch so steady-state merging
 // performs no heap allocation; MergeCounters feeds the hot-path
@@ -41,7 +44,7 @@ struct TsRun {
 
 /// Hot-path counters, aggregated into RpGrowthStats by the miners.
 struct MergeCounters {
-  size_t merge_invocations = 0;  ///< MergeSortedRuns calls.
+  size_t merge_invocations = 0;  ///< MergeSortedRuns(Into) calls.
   size_t runs_merged = 0;        ///< Non-empty input runs consumed.
   size_t timestamps_merged = 0;  ///< Timestamps written to merge outputs.
 };
@@ -75,6 +78,13 @@ void AppendSortedRuns(std::span<const Timestamp> ts,
 /// *out must not alias any input run's storage.
 void MergeSortedRuns(const TsRun* runs, size_t num_runs, TimestampList* out,
                      MergeScratch* scratch, MergeCounters* counters);
+
+/// MergeSortedRuns into caller-owned storage: writes the runs' sorted
+/// union to [dst, dst + total) and returns dst + total. `dst` must have
+/// room for every run's timestamps and must not alias any input run.
+Timestamp* MergeSortedRunsInto(const TsRun* runs, size_t num_runs,
+                               Timestamp* dst, MergeScratch* scratch,
+                               MergeCounters* counters);
 
 }  // namespace rpm
 

@@ -1,7 +1,14 @@
 #include "rpm/core/rp_growth.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "rpm/core/brute_force.h"
+#include "rpm/core/cancellation.h"
+#include "rpm/gen/hashtag_generator.h"
+#include "rpm/gen/paper_datasets.h"
 #include "test_util.h"
 
 namespace rpm {
@@ -181,6 +188,145 @@ TEST(RpGrowthTest, NoiseTolerantModeBridgesPlantedGap) {
   ASSERT_EQ(result.patterns.size(), 1u);
   EXPECT_EQ(result.patterns[0].intervals.size(), 1u);
   EXPECT_EQ(result.patterns[0].intervals[0], (PeriodicInterval{1, 14, 12}));
+}
+
+// Fragmenting inputs: few distinct transaction shapes recurring for long
+// stretches, so a rank's nodes carry long pushed-up lists that interleave.
+// These are the inputs on which unsorted path lists used to compound into
+// ~100 runs per merge down the recursion.
+
+/// bench_hotpath's dense-synth burst stream (50 tags, 2-6 day events
+/// firing at 0.9) at a fifth of its length.
+gen::GeneratedHashtagStream DenseBurstStream() {
+  constexpr double kScale = 0.2;
+  gen::HashtagParams p;
+  p.num_minutes = static_cast<size_t>(40000 * kScale);
+  p.num_hashtags = 50;
+  p.background_rate = 1.0;
+  p.daily_dropout_base = 0.0;
+  p.daily_dropout_slope = 0.0;
+  p.num_random_events = static_cast<size_t>(16 * kScale) + 1;
+  p.min_event_tags = 2;
+  p.max_event_tags = 4;
+  p.min_event_windows = 1;
+  p.max_event_windows = 2;
+  p.min_event_minutes = 2 * 1440;
+  p.max_event_minutes = 6 * 1440;
+  p.event_fire_prob = 0.9;
+  p.seed = 4242;
+  return gen::GenerateHashtagStream(p);
+}
+
+/// The dense regime's classic relative threshold: minPS = 5 % of the
+/// transactions, per 6 h. minRec is 1, because the shortened stream has
+/// too few events for many itemsets to recur twice.
+RpParams DenseParams(const TransactionDatabase& db) {
+  RpParams params;
+  params.period = 360;
+  params.min_ps = static_cast<uint64_t>(
+      std::ceil(0.05 * static_cast<double>(db.size())));
+  params.min_rec = 1;
+  return params;
+}
+
+struct FragmentingCase {
+  const char* name;
+  TransactionDatabase db;
+  RpParams params;
+};
+
+std::vector<FragmentingCase> FragmentingCases() {
+  std::vector<FragmentingCase> cases;
+  TransactionDatabase dense = DenseBurstStream().db;
+  const RpParams dense_params = DenseParams(dense);
+  cases.push_back({"dense-burst", std::move(dense), dense_params});
+  RpParams twitter_params;
+  twitter_params.period = 60;
+  twitter_params.min_ps = 60;
+  twitter_params.min_rec = 1;
+  cases.push_back({"twitter-mini", gen::MakeTwitter(0.01, 88).db,
+                   twitter_params});
+  return cases;
+}
+
+TEST(RpGrowthFragmentationTest, MatchesVerticalMinerAcrossModes) {
+  for (const FragmentingCase& c : FragmentingCases()) {
+    for (PruningMode pruning : {PruningMode::kErec, PruningMode::kSupportOnly}) {
+      for (size_t max_len : {size_t{0}, size_t{2}}) {
+        VerticalMinerOptions vertical;
+        vertical.use_candidate_pruning = pruning == PruningMode::kErec;
+        vertical.max_pattern_length = max_len;
+        const std::vector<RecurringPattern> want =
+            MineVertical(c.db, c.params, vertical).patterns;
+        ASSERT_FALSE(want.empty()) << c.name << ": fixture finds nothing";
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          RpGrowthOptions options;
+          options.pruning = pruning;
+          options.max_pattern_length = max_len;
+          options.num_threads = threads;
+          const RpGrowthResult got =
+              MineRecurringPatterns(c.db, c.params, options);
+          EXPECT_EQ(got.patterns, want)
+              << c.name << " pruning="
+              << (pruning == PruningMode::kErec ? "erec" : "support")
+              << " max_len=" << max_len << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(RpGrowthFragmentationTest, MaxPatternsCutKeepsOnePrefixAcrossThreads) {
+  for (const FragmentingCase& c : FragmentingCases()) {
+    const RpGrowthResult full = MineRecurringPatterns(c.db, c.params);
+    ASSERT_GT(full.patterns.size(), 8u) << c.name;
+    for (uint64_t cap : {uint64_t{1}, uint64_t{full.patterns.size() / 3},
+                         uint64_t{full.patterns.size() - 1}}) {
+      std::vector<RecurringPattern> reference;
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        ResourceLimits limits;
+        limits.max_patterns = cap;
+        QueryBudget budget(limits, nullptr);
+        RpGrowthOptions options;
+        options.num_threads = threads;
+        options.budget = &budget;
+        const RpGrowthResult cut = MineRecurringPatterns(c.db, c.params,
+                                                         options);
+        EXPECT_TRUE(cut.status.ok()) << cut.status.ToString();
+        EXPECT_TRUE(cut.truncated) << c.name << " cap=" << cap;
+        EXPECT_LE(cut.patterns.size(), cap);
+        for (const RecurringPattern& p : cut.patterns) {
+          EXPECT_NE(std::find(full.patterns.begin(), full.patterns.end(), p),
+                    full.patterns.end())
+              << p.ToString();
+        }
+        if (threads == 1) {
+          reference = cut.patterns;
+        } else {
+          EXPECT_EQ(cut.patterns, reference)
+              << c.name << " cap=" << cap << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+// Tripwire: every ts-list entering a conditional tree is one sorted run
+// and a kept TS^{beta+i} is handed to the child instead of being merged
+// again, so a merge sees about as many runs as its pattern base has paths.
+// When path lists entered conditional trees unsorted, the runs compounded
+// level by level: this fixture then averaged ~15 runs per merge (~100 at
+// bench_hotpath's full dense-synth scale); it now averages ~4.
+TEST(RpGrowthFragmentationTest, MergesSeeFewRunsOnDenseBursts) {
+  const TransactionDatabase db = DenseBurstStream().db;
+  const RpGrowthResult result = MineRecurringPatterns(db, DenseParams(db));
+  ASSERT_GT(result.stats.merge_invocations, 0u);
+  const double runs_per_merge =
+      static_cast<double>(result.stats.runs_merged) /
+      static_cast<double>(result.stats.merge_invocations);
+  EXPECT_LT(runs_per_merge, 8.0)
+      << result.stats.runs_merged << " runs in "
+      << result.stats.merge_invocations << " merges";
 }
 
 TEST(RpGrowthDeathTest, InvalidParamsAbort) {

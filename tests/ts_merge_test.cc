@@ -145,6 +145,35 @@ TEST(MergeSortedRunsTest, ScratchIsReusableAcrossCalls) {
   EXPECT_GT(scratch.ByteFootprint(), 0u);
 }
 
+TEST(MergeSortedRunsIntoTest, WritesExactlyTheMergedRangeInPlace) {
+  // One run per regime: copy, two-run merge, fragmented sort, mergesort.
+  const std::vector<std::vector<TimestampList>> cases = {
+      {{4, 6, 9}},
+      {{1, 3, 5}, {2, 4, 6}},
+      {{3, 1}, {2}, {5, 4}},
+      {{10, 20, 30, 40, 50, 60, 70, 80, 90},
+       {15, 25, 35, 45, 55, 65, 75, 85, 95},
+       {12, 22, 32, 42, 52, 62, 72, 82, 92}}};
+  for (const std::vector<TimestampList>& lists : cases) {
+    std::vector<TsRun> runs;
+    for (const TimestampList& list : lists) AppendSortedRuns(list, &runs);
+    const TimestampList want = ConcatAndSort(lists);
+    constexpr Timestamp kSentinel = -7;
+    TimestampList slab(want.size() + 4, kSentinel);
+    MergeScratch scratch;
+    MergeCounters counters;
+    Timestamp* const end = MergeSortedRunsInto(
+        runs.data(), runs.size(), slab.data() + 2, &scratch, &counters);
+    EXPECT_EQ(end, slab.data() + 2 + want.size());
+    EXPECT_EQ(TimestampList(slab.begin() + 2, slab.end() - 2), want);
+    EXPECT_EQ(slab[0], kSentinel);
+    EXPECT_EQ(slab[1], kSentinel);
+    EXPECT_EQ(slab[slab.size() - 2], kSentinel);
+    EXPECT_EQ(slab[slab.size() - 1], kSentinel);
+    EXPECT_EQ(counters.timestamps_merged, want.size());
+  }
+}
+
 // --- Property tests against the oracle ------------------------------------
 
 /// One random instance: `num_lists` lists, each a concatenation of sorted
