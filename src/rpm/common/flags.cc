@@ -46,6 +46,13 @@ FlagParser::Flag* FlagParser::Find(const std::string& name) {
   return nullptr;
 }
 
+bool FlagParser::seen(const std::string& name) const {
+  for (const Flag& flag : flags_) {
+    if (flag.name == name) return flag.seen;
+  }
+  return false;
+}
+
 Status FlagParser::Assign(Flag* flag, const std::string& value) {
   switch (flag->type) {
     case Type::kString:

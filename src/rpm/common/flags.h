@@ -44,6 +44,10 @@ class FlagParser {
   /// malformed values. Idempotent defaults: call order-independent.
   Status Parse(int argc, const char* const* argv);
 
+  /// Whether the last Parse() was given `name`, with any value (the
+  /// default included). Flag-combination checks read this.
+  bool seen(const std::string& name) const;
+
   /// Arguments that were not flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -148,7 +148,8 @@ std::string CacheKey(const std::string& dataset, uint64_t epoch,
                      const engine::Query& query,
                      engine::BackendKind backend) {
   // Sequential and parallel answers are bit-identical and ignore the
-  // window; the windowed answer covers only the final window.
+  // window; the windowed answer covers only the final window. The pattern
+  // cap bounds even a completed answer, so it is part of the shape.
   const bool windowed = backend == engine::BackendKind::kWindowed;
   std::ostringstream key;
   key << dataset << '\x1f' << epoch << '\x1f' << query.params.period << '|'
@@ -156,7 +157,7 @@ std::string CacheKey(const std::string& dataset, uint64_t epoch,
       << query.params.max_gap_violations << '|' << query.max_pattern_length
       << '|' << query.top_k << '|' << query.closed << '|' << query.maximal
       << '|' << windowed << '|' << (windowed ? query.window : 0) << '|'
-      << (windowed ? query.delta : 0);
+      << (windowed ? query.delta : 0) << '|' << query.limits.max_patterns;
   return key.str();
 }
 

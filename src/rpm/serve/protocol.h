@@ -71,8 +71,8 @@ Result<Request> ParseRequest(const std::string& line);
 /// Canonical single-flight / result-cache key: dataset identity (name +
 /// epoch) plus every request field that changes a COMPLETED query's
 /// payload. The backend enters only as batch vs windowed, and window/delta
-/// only for the windowed backend (the batch backends ignore both); limits
-/// are excluded by design (result_cache.h).
+/// only for the windowed backend (the batch backends ignore both); of the
+/// limits only max_patterns enters (result_cache.h).
 std::string CacheKey(const std::string& dataset, uint64_t epoch,
                      const engine::Query& query,
                      engine::BackendKind backend);

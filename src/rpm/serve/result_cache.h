@@ -19,8 +19,10 @@
 // Soundness of the key: snapshot epoch versions the data (a swap changes
 // the epoch, so stale entries can never match); the canonical query shape
 // covers everything that affects the payload of a COMPLETED query.
-// Resource limits are deliberately excluded — a completed, untruncated
-// result is the full deterministic answer under any sufficient budget.
+// The timeout and memory limits are deliberately excluded — a completed,
+// untruncated result is the full deterministic answer under any
+// sufficient budget. The pattern cap is not: an uncapped answer can hold
+// more patterns than a capped query may return, so max_patterns is keyed.
 // The backend is keyed only as batch vs windowed: sequential and parallel
 // are bit-identical over the whole snapshot and ignore window/delta,
 // while the windowed backend answers for the final window only, so its

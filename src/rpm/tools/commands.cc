@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <ostream>
 #include <sstream>
@@ -33,27 +35,77 @@ namespace rpm::tools {
 
 namespace {
 
-using engine::BackendKind;
 using engine::DatasetSnapshot;
-using engine::ExecOptions;
 using engine::Query;
 using engine::QueryResult;
 using engine::QuerySession;
 
-/// Every subcommand loads through the snapshot layer; `Snapshot` is just
-/// the error-message plumbing around DatasetSnapshot::Load.
-Result<std::shared_ptr<const DatasetSnapshot>> LoadSnapshot(
-    const std::string& path, const std::string& format) {
-  return DatasetSnapshot::Load(path, format);
+int Fail(std::ostream& err, const Status& status) {
+  err << "error: " << status.ToString() << "\n";
+  return 2;
 }
 
-/// Resolves --epoch into minutes since 1970 (empty -> no epoch).
-Result<std::optional<int64_t>> ResolveEpoch(const std::string& epoch) {
-  if (epoch.empty()) return std::optional<int64_t>{};
-  RPM_ASSIGN_OR_RETURN(CivilMinute cm, ParseCivilMinute(epoch));
-  return std::optional<int64_t>{MinutesFromCivil(cm)};
-}
+/// Which dataset flags a subcommand takes (its kCommands row says).
+enum class Input { kNone, kDataset, kCsv };
 
+/// --input and --format: the dataset a subcommand reads.
+struct InputFlags {
+  std::string input;
+  std::string format = "tspmf";
+
+  /// Registers --input, and --format unless the subcommand reads csv only
+  /// (`convert`). `this` must outlive parser.Parse().
+  void Register(FlagParser* parser, Input kind) {
+    parser->AddString("input", "", "event file path", &input);
+    if (kind == Input::kCsv) {
+      format = "csv";
+    } else {
+      parser->AddString("format", format, "input format: tspmf|spmf|csv",
+                        &format);
+    }
+  }
+
+  Result<std::shared_ptr<const DatasetSnapshot>> Load() const {
+    return DatasetSnapshot::Load(input, format);
+  }
+};
+
+/// What a subcommand runs with: its own argv (argv[0] is its name), the
+/// two streams, and a flag parser titled from its kCommands row, with the
+/// row's dataset flags already registered in `data`.
+struct Invocation {
+  int argc;
+  const char* const* argv;
+  std::ostream& out;
+  std::ostream& err;
+  FlagParser parser;
+  Input input = Input::kNone;
+  InputFlags data{};
+  std::shared_ptr<const DatasetSnapshot> snapshot{};  ///< set by Parse()
+
+  /// The one parse-or-usage step: parses argv, requires --input where the
+  /// row reads a dataset, runs `check` (flag combinations), then loads the
+  /// dataset. Returns 0 to go on, else the exit code: 1 after printing a
+  /// usage error and the flag list once, 2 when the dataset fails to load.
+  int Parse(const std::function<Status()>& check = nullptr) {
+    Status s = parser.Parse(argc, argv);
+    if (s.ok() && input != Input::kNone && data.input.empty()) {
+      s = Status::InvalidArgument("--input is required");
+    }
+    if (s.ok() && check) s = check();
+    if (!s.ok()) {
+      err << s.ToString() << "\n" << parser.Help();
+      return 1;
+    }
+    if (input == Input::kNone) return 0;
+    Result<std::shared_ptr<const DatasetSnapshot>> loaded = data.Load();
+    if (!loaded.ok()) return Fail(err, loaded.status());
+    snapshot = std::move(*loaded);
+    return 0;
+  }
+};
+
+/// `output_format` is text, csv or json (`mine` checks it up front).
 Status WriteResults(const std::vector<RecurringPattern>& patterns,
                     const ItemDictionary& dict,
                     const std::string& output_format,
@@ -72,17 +124,7 @@ Status WriteResults(const std::vector<RecurringPattern>& patterns,
   if (output_format == "csv") {
     return analysis::WritePatternsCsv(patterns, dict, out, options);
   }
-  if (output_format == "json") {
-    return analysis::WritePatternsJson(patterns, dict, out, options);
-  }
-  return Status::InvalidArgument("unknown --output-format '" +
-                                 output_format +
-                                 "' (expected text, csv or json)");
-}
-
-int Fail(std::ostream& err, const Status& status) {
-  err << "error: " << status.ToString() << "\n";
-  return 2;
+  return analysis::WritePatternsJson(patterns, dict, out, options);
 }
 
 /// The `mine` stderr summary (pinned by cli_test.cc): pattern count,
@@ -136,16 +178,12 @@ int RunMultiQuery(QuerySession& session, const std::string& input,
     return Fail(err, Status::IOError("cannot open --queries file '" +
                                      queries_path + "'"));
   }
-  struct QueryLine {
-    size_t number = 0;
-    std::string text;
-  };
-  std::vector<QueryLine> lines;
+  std::vector<std::pair<size_t, std::string>> lines;  // (number, text)
   std::string raw;
   for (size_t number = 1; std::getline(file, raw); ++number) {
     const size_t first = raw.find_first_not_of(" \t\r");
     if (first == std::string::npos || raw[first] == '#') continue;
-    lines.push_back({number, raw});
+    lines.emplace_back(number, raw);
   }
   if (lines.empty()) {
     return Fail(err, Status::InvalidArgument("--queries file '" +
@@ -153,8 +191,6 @@ int RunMultiQuery(QuerySession& session, const std::string& input,
                                              "' has no query lines"));
   }
 
-  analysis::ExportOptions export_options;
-  export_options.epoch_minutes = epoch;
   size_t failed_queries = 0;
   out << "{\n";
   out << "  \"input\": \"" << analysis::JsonEscape(input) << "\",\n";
@@ -162,26 +198,24 @@ int RunMultiQuery(QuerySession& session, const std::string& input,
   out << "  \"queries\": [\n";
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string line_tag =
-        "--queries line " + std::to_string(lines[i].number) + ": ";
+        "--queries line " + std::to_string(lines[i].first) + ": ";
     Result<ParsedQueryLine> parsed =
-        ParseMiningQuery(lines[i].text, session.snapshot().size());
+        ParseMiningQuery(lines[i].second, session.snapshot().size());
     if (!parsed.ok()) {
       return Fail(err, Status::InvalidArgument(
                            line_tag + parsed.status().message()));
     }
-    ExecOptions exec;
-    exec.threads = parsed->threads;
     parsed->query.cancel = cancel;
-    Result<QueryResult> result =
-        session.Run(parsed->query, parsed->backend, exec);
+    Result<QueryResult> result = session.Run(parsed->query, parsed->backend,
+                                             {.threads = parsed->threads});
     if (!result.ok()) {
       return Fail(err, Status::InvalidArgument(
                            line_tag + result.status().message()));
     }
     std::ostringstream patterns_json;
-    if (Status s = analysis::WritePatternsJson(
-            result->patterns, session.snapshot().dictionary(),
-            &patterns_json, export_options);
+    if (Status s = WriteResults(result->patterns,
+                                session.snapshot().dictionary(), "json",
+                                epoch, &patterns_json);
         !s.ok()) {
       return Fail(err, s);
     }
@@ -232,30 +266,19 @@ int RunMultiQuery(QuerySession& session, const std::string& input,
   return 0;
 }
 
-int CmdMine(int argc, const char* const* argv, std::ostream& out,
-            std::ostream& err) {
-  FlagParser parser("rpminer mine", "discover recurring patterns");
-  std::string input, format, output_format, epoch, backend_name, queries;
+int CmdMine(Invocation& cmd) {
+  FlagParser& parser = cmd.parser;
   MiningQueryFlags mining;
-  uint64_t threads = 1;
-  parser.AddString("input", "", "event file path", &input);
-  parser.AddString("format", "tspmf", "input format: tspmf|spmf|csv",
-                   &format);
+  ExecFlags exec;
+  std::string queries, output_format, epoch;
+  bool with_stats = false;
   mining.Register(&parser);
-  parser.AddUint64("threads", 1,
-                   "mining worker threads (0 = one per hardware thread, "
-                   "1 = sequential); results are identical either way",
-                   &threads);
-  parser.AddString("backend", "",
-                   "executor: sequential|parallel|windowed "
-                   "(default: sequential, parallel when --threads != 1)",
-                   &backend_name);
+  exec.Register(&parser);
   parser.AddString("queries", "",
                    "file of query lines (mine flags + --backend/--threads "
                    "per line) run against one shared snapshot; emits one "
                    "JSON document",
                    &queries);
-  bool with_stats = false;
   parser.AddBool("stats", false,
                  "append coverage/concentration stats per pattern "
                  "(text output only)",
@@ -266,20 +289,40 @@ int CmdMine(int argc, const char* const* argv, std::ostream& out,
                    "render timestamps as dates relative to this "
                    "'YYYY-MM-DD[ HH:MM]'",
                    &epoch);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
+  if (int code = cmd.Parse([&]() -> Status {
+        // A --queries session takes the query flags from each line and
+        // always emits one JSON document, so it takes none of these.
+        std::vector<std::string> per_query = mining.kNames;
+        per_query.insert(per_query.end(),
+                         {"backend", "threads", "stats", "output-format"});
+        for (const std::string& name : per_query) {
+          if (!queries.empty() && parser.seen(name)) {
+            return Status::InvalidArgument(
+                "--queries conflicts with --" + name +
+                ": each query line carries its own query flags");
+          }
+        }
+        if (output_format != "text" && output_format != "csv" &&
+            output_format != "json") {
+          return Status::InvalidArgument("unknown --output-format '" +
+                                         output_format +
+                                         "' (expected text, csv or json)");
+        }
+        if (with_stats && output_format != "text") {
+          return Status::InvalidArgument(
+              "--stats conflicts with --output-format=" + output_format +
+              ": the per-pattern stats print as text only");
+        }
+        return exec.Check();
+      })) {
+    return code;
   }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
+  std::optional<int64_t> epoch_minutes;  // --epoch in minutes since 1970
+  if (!epoch.empty()) {
+    Result<CivilMinute> civil = ParseCivilMinute(epoch);
+    if (!civil.ok()) return Fail(cmd.err, civil.status());
+    epoch_minutes = MinutesFromCivil(*civil);
   }
-
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, format);
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
-  Result<std::optional<int64_t>> epoch_minutes = ResolveEpoch(epoch);
-  if (!epoch_minutes.ok()) return Fail(err, epoch_minutes.status());
 
   // First SIGINT/SIGTERM cancels the query (it stops at the next budget
   // checkpoint with its deterministic committed prefix and exits 2); a
@@ -287,232 +330,140 @@ int CmdMine(int argc, const char* const* argv, std::ostream& out,
   CancellationToken cancel_token;
   ScopedSignalCancellation signal_guard(&cancel_token);
 
-  QuerySession session(*snapshot);
+  QuerySession session(cmd.snapshot);
   if (!queries.empty()) {
-    return RunMultiQuery(session, input, queries, *epoch_minutes,
-                         &cancel_token, out, err);
+    return RunMultiQuery(session, cmd.data.input, queries, epoch_minutes,
+                         &cancel_token, cmd.out, cmd.err);
   }
 
-  Result<Query> query = mining.ToQuery(session.snapshot().size());
-  if (!query.ok()) return Fail(err, query.status());
-  query->cancel = &cancel_token;
-
-  BackendKind backend =
-      threads == 1 ? BackendKind::kSequential : BackendKind::kParallel;
-  if (!backend_name.empty()) {
-    Result<BackendKind> parsed = engine::ParseBackend(backend_name);
-    if (!parsed.ok()) return Fail(err, parsed.status());
-    backend = *parsed;
-  }
-  ExecOptions exec;
-  exec.threads = threads;
-  Result<QueryResult> result = session.Run(*query, backend, exec);
-  if (!result.ok()) return Fail(err, result.status());
-  PrintMineSummary(*query, *result, err);
+  Result<ParsedQueryLine> query =
+      ResolveQuery(mining, exec, session.snapshot().size());
+  if (!query.ok()) return Fail(cmd.err, query.status());
+  query->query.cancel = &cancel_token;
+  Result<QueryResult> result =
+      session.Run(query->query, query->backend, {.threads = query->threads});
+  if (!result.ok()) return Fail(cmd.err, result.status());
+  PrintMineSummary(query->query, *result, cmd.err);
   if (!result->status.ok()) {
     // Governed failure: still print whatever the budget committed (the
     // deterministic prefix), but exit non-zero so scripts notice.
-    err << "query stopped early: " << result->status.ToString()
-        << (result->truncated ? " (partial result below)" : "") << "\n";
+    cmd.err << "query stopped early: " << result->status.ToString()
+            << (result->truncated ? " (partial result below)" : "") << "\n";
   } else if (result->truncated) {
     // The soft max-patterns cap completed with an intentional cut: exit 0,
     // but say so — the count above is a committed prefix, not the total.
-    err << "result truncated by --max-patterns (deterministic committed "
-           "prefix)\n";
+    cmd.err << "result truncated by --max-patterns (deterministic "
+               "committed prefix)\n";
   }
 
   const TransactionDatabase& db = session.snapshot().db();
-  if (with_stats && output_format == "text" && !db.empty()) {
+  if (with_stats && !db.empty()) {
     for (const RecurringPattern& p : result->patterns) {
-      out << analysis::FormatItemset(p.items, db.dictionary()) << "  "
-          << analysis::FormatPatternStats(
-                 analysis::ComputePatternStats(p, db, query->params))
-          << "\n";
+      cmd.out << analysis::FormatItemset(p.items, db.dictionary()) << "  "
+              << analysis::FormatPatternStats(analysis::ComputePatternStats(
+                     p, db, query->query.params))
+              << "\n";
     }
     return result->status.ok() ? 0 : 2;
   }
   if (Status s = WriteResults(result->patterns, db.dictionary(),
-                              output_format, *epoch_minutes, &out);
+                              output_format, epoch_minutes, &cmd.out);
       !s.ok()) {
-    return Fail(err, s);
+    return Fail(cmd.err, s);
   }
   return result->status.ok() ? 0 : 2;
 }
 
-int CmdPfMine(int argc, const char* const* argv, std::ostream& out,
-              std::ostream& err) {
-  FlagParser parser("rpminer pf-mine",
-                    "periodic-frequent baseline (PF-growth++)");
-  std::string input, format;
+int CmdPfMine(Invocation& cmd) {
   uint64_t min_sup = 1;
   int64_t max_per = 1;
-  parser.AddString("input", "", "event file path", &input);
-  parser.AddString("format", "tspmf", "input format: tspmf|spmf|csv",
-                   &format);
-  parser.AddUint64("min-sup", 1, "minimum support", &min_sup);
-  parser.AddInt64("max-per", 1, "maximum periodicity", &max_per);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
-  }
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, format);
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
-  const TransactionDatabase& db = (*snapshot)->db();
+  cmd.parser.AddUint64("min-sup", 1, "minimum support", &min_sup);
+  cmd.parser.AddInt64("max-per", 1, "maximum periodicity", &max_per);
+  if (int code = cmd.Parse()) return code;
+  const TransactionDatabase& db = cmd.snapshot->db();
   baselines::PfParams params;
   params.min_sup = min_sup;
   params.max_per = max_per;
-  if (Status s = params.Validate(); !s.ok()) return Fail(err, s);
+  if (Status s = params.Validate(); !s.ok()) return Fail(cmd.err, s);
   auto result = baselines::MinePeriodicFrequentPatterns(db, params);
-  err << result.patterns.size() << " periodic-frequent patterns in "
-      << result.seconds << "s\n";
+  cmd.err << result.patterns.size() << " periodic-frequent patterns in "
+          << result.seconds << "s\n";
   for (const auto& p : result.patterns) {
-    out << analysis::FormatItemset(p.items, db.dictionary())
-        << " sup=" << p.support << " per=" << p.periodicity << "\n";
+    cmd.out << analysis::FormatItemset(p.items, db.dictionary())
+            << " sup=" << p.support << " per=" << p.periodicity << "\n";
   }
   return 0;
 }
 
-int CmdPpMine(int argc, const char* const* argv, std::ostream& out,
-              std::ostream& err) {
-  FlagParser parser("rpminer pp-mine",
-                    "p-pattern baseline (periodic-first)");
-  std::string input, format;
+int CmdPpMine(Invocation& cmd) {
   uint64_t min_sup = 1, window = 1, max_patterns = 0;
   int64_t per = 1;
-  parser.AddString("input", "", "event file path", &input);
-  parser.AddString("format", "tspmf", "input format: tspmf|spmf|csv",
-                   &format);
-  parser.AddInt64("per", 1, "known period", &per);
-  parser.AddUint64("window", 1, "Ma-Hellerstein window w", &window);
-  parser.AddUint64("min-sup", 1, "min on-period inter-arrival times",
-                   &min_sup);
-  parser.AddUint64("max-patterns", 0,
-                   "stop after this many found (0 = unlimited)",
-                   &max_patterns);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
-  }
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, format);
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
-  const TransactionDatabase& db = (*snapshot)->db();
+  cmd.parser.AddInt64("per", 1, "known period", &per);
+  cmd.parser.AddUint64("window", 1, "Ma-Hellerstein window w", &window);
+  cmd.parser.AddUint64("min-sup", 1, "min on-period inter-arrival times",
+                       &min_sup);
+  cmd.parser.AddUint64("max-patterns", 0,
+                       "stop after this many found (0 = unlimited)",
+                       &max_patterns);
+  if (int code = cmd.Parse()) return code;
+  const TransactionDatabase& db = cmd.snapshot->db();
   baselines::PPatternParams params;
   params.period = per;
   params.window = static_cast<Timestamp>(window);
   params.min_sup = min_sup;
-  if (Status s = params.Validate(); !s.ok()) return Fail(err, s);
+  if (Status s = params.Validate(); !s.ok()) return Fail(cmd.err, s);
   baselines::PPatternOptions options;
   options.max_total_patterns = max_patterns;
   auto result = baselines::MinePPatterns(db, params, options);
-  err << result.total_found << " p-patterns"
-      << (result.truncated ? " (truncated)" : "") << " in "
-      << result.seconds << "s\n";
+  cmd.err << result.total_found << " p-patterns"
+          << (result.truncated ? " (truncated)" : "") << " in "
+          << result.seconds << "s\n";
   for (const auto& p : result.patterns) {
-    out << analysis::FormatItemset(p.items, db.dictionary())
-        << " sup=" << p.support << " periodic=" << p.periodic_count << "\n";
+    cmd.out << analysis::FormatItemset(p.items, db.dictionary())
+            << " sup=" << p.support << " periodic=" << p.periodic_count
+            << "\n";
   }
   return 0;
 }
 
-int CmdAdvise(int argc, const char* const* argv, std::ostream& out,
-              std::ostream& err) {
-  FlagParser parser("rpminer advise",
-                    "suggest per/minPS/minRec starting points");
-  std::string input, format;
+int CmdAdvise(Invocation& cmd) {
   uint64_t min_item_support = 10;
-  parser.AddString("input", "", "event file path", &input);
-  parser.AddString("format", "tspmf", "input format: tspmf|spmf|csv",
-                   &format);
-  parser.AddUint64("min-item-support", 10,
-                   "ignore items below this support", &min_item_support);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
-  }
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, format);
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
+  cmd.parser.AddUint64("min-item-support", 10,
+                       "ignore items below this support", &min_item_support);
+  if (int code = cmd.Parse()) return code;
   analysis::AdvisorOptions options;
   options.min_item_support = min_item_support;
   analysis::ThresholdAdvice advice =
-      analysis::AdviseThresholds((*snapshot)->db(), options);
-  out << "suggested: --per " << advice.suggested_period << " --min-ps "
-      << advice.suggested_min_ps << " --min-rec "
-      << advice.suggested_min_rec << "\n";
-  out << "rationale: " << advice.rationale << "\n";
+      analysis::AdviseThresholds(cmd.snapshot->db(), options);
+  cmd.out << "suggested: --per " << advice.suggested_period << " --min-ps "
+          << advice.suggested_min_ps << " --min-rec "
+          << advice.suggested_min_rec << "\n";
+  cmd.out << "rationale: " << advice.rationale << "\n";
   return 0;
 }
 
-int CmdStats(int argc, const char* const* argv, std::ostream& out,
-             std::ostream& err) {
-  FlagParser parser("rpminer stats", "dataset shape summary");
-  std::string input, format;
-  parser.AddString("input", "", "event file path", &input);
-  parser.AddString("format", "tspmf", "input format: tspmf|spmf|csv",
-                   &format);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
-  }
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, format);
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
-  out << ComputeStats((*snapshot)->db()).ToString() << "\n";
+int CmdStats(Invocation& cmd) {
+  if (int code = cmd.Parse()) return code;
+  cmd.out << ComputeStats(cmd.snapshot->db()).ToString() << "\n";
   return 0;
 }
 
-int CmdCompare(int argc, const char* const* argv, std::ostream& out,
-               std::ostream& err) {
-  FlagParser parser("rpminer compare",
-                    "run PF / recurring / p-pattern models side by side "
-                    "(Table 8 style)");
-  std::string input, format;
+int CmdCompare(Invocation& cmd) {
   // Shared threshold flags, with compare's dataset-scale defaults (daily
-  // period, 2% minPS) presented in --help and used when unset.
+  // period, 2% minPS) presented in the flag list and used when unset.
   MiningQueryFlags mining;
   mining.per = 1440;
   mining.min_ps_pct = 2.0;
   double min_sup_pct = 0.1;
   uint64_t max_pp = 500000;
-  parser.AddString("input", "", "event file path", &input);
-  parser.AddString("format", "tspmf", "input format: tspmf|spmf|csv",
-                   &format);
-  mining.Register(&parser);
-  parser.AddDouble("min-sup-pct", 0.1,
-                   "minSup for PF and p-patterns, percent of |TDB|",
-                   &min_sup_pct);
-  parser.AddUint64("max-pp", 500000,
-                   "p-pattern enumeration cap (0 = unlimited)", &max_pp);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
-  }
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, format);
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
-  const TransactionDatabase& db = (*snapshot)->db();
+  mining.Register(&cmd.parser);
+  cmd.parser.AddDouble("min-sup-pct", 0.1,
+                       "minSup for PF and p-patterns, percent of |TDB|",
+                       &min_sup_pct);
+  cmd.parser.AddUint64("max-pp", 500000,
+                       "p-pattern enumeration cap (0 = unlimited)", &max_pp);
+  if (int code = cmd.Parse()) return code;
+  const TransactionDatabase& db = cmd.snapshot->db();
 
   const uint64_t min_sup = std::max<uint64_t>(
       1, static_cast<uint64_t>(std::ceil(
@@ -528,10 +479,10 @@ int CmdCompare(int argc, const char* const* argv, std::ostream& out,
   }
 
   Result<Query> query = mining.ToQuery(db.size());
-  if (!query.ok()) return Fail(err, query.status());
-  QuerySession session(*snapshot);
+  if (!query.ok()) return Fail(cmd.err, query.status());
+  QuerySession session(cmd.snapshot);
   Result<QueryResult> rp_result = session.Run(*query);
-  if (!rp_result.ok()) return Fail(err, rp_result.status());
+  if (!rp_result.ok()) return Fail(cmd.err, rp_result.status());
 
   baselines::PPatternParams pp;
   pp.period = mining.per;
@@ -541,100 +492,74 @@ int CmdCompare(int argc, const char* const* argv, std::ostream& out,
   pp_options.max_total_patterns = max_pp;
   auto pp_result = baselines::MinePPatterns(db, pp, pp_options);
 
-  out << "model                 patterns    max_len  seconds\n";
+  cmd.out << "model                 patterns    max_len  seconds\n";
   char line[128];
   std::snprintf(line, sizeof(line), "%-20s %10zu %8zu %8.2f\n",
                 "pf-patterns", pf_result.patterns.size(), pf_len,
                 pf_result.seconds);
-  out << line;
+  cmd.out << line;
   std::snprintf(line, sizeof(line), "%-20s %10zu %8zu %8.2f\n",
                 "recurring-patterns", rp_result->patterns.size(),
                 MaxPatternLength(rp_result->patterns),
                 rp_result->stats.total_seconds);
-  out << line;
+  cmd.out << line;
   std::snprintf(line, sizeof(line), "%-20s %s%9zu %8zu %8.2f\n",
                 "p-patterns", pp_result.truncated ? ">" : " ",
                 pp_result.total_found, pp_result.max_length,
                 pp_result.seconds);
-  out << line;
+  cmd.out << line;
   return 0;
 }
 
-int CmdGenerate(int argc, const char* const* argv, std::ostream& out,
-                std::ostream& err) {
-  FlagParser parser("rpminer generate",
-                    "synthesize one of the paper's evaluation datasets");
+int CmdGenerate(Invocation& cmd) {
   std::string dataset, output;
   double scale = 1.0;
   uint64_t seed = 42;
-  parser.AddString("dataset", "twitter", "quest|shop14|twitter", &dataset);
-  parser.AddString("output", "", "output path (tspmf); empty = stdout",
-                   &output);
-  parser.AddDouble("scale", 1.0, "fraction of the paper's size (0,1]",
-                   &scale);
-  parser.AddUint64("seed", 42, "generator seed", &seed);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
+  cmd.parser.AddString("dataset", "twitter", "quest|shop14|twitter",
+                       &dataset);
+  cmd.parser.AddString("output", "", "output path (tspmf); empty = stdout",
+                       &output);
+  cmd.parser.AddDouble("scale", 1.0, "fraction of the paper's size (0,1]",
+                       &scale);
+  cmd.parser.AddUint64("seed", 42, "generator seed", &seed);
+  if (int code = cmd.Parse([&] {
+        if (scale <= 0.0 || scale > 1.0) {
+          return Status::InvalidArgument("--scale must be in (0, 1]");
+        }
+        if (dataset != "quest" && dataset != "shop14" &&
+            dataset != "twitter") {
+          return Status::InvalidArgument("unknown --dataset '" + dataset +
+                                         "'");
+        }
+        return Status::OK();
+      })) {
+    return code;
   }
-  if (scale <= 0.0 || scale > 1.0) {
-    err << "--scale must be in (0, 1]\n";
-    return 1;
-  }
-  TransactionDatabase db;
-  if (dataset == "quest") {
-    db = gen::MakeT10I4D100K(scale, seed);
-  } else if (dataset == "shop14") {
-    db = gen::MakeShop14(scale, seed).db;
-  } else if (dataset == "twitter") {
-    db = gen::MakeTwitter(scale, seed).db;
-  } else {
-    err << "unknown --dataset '" << dataset << "'\n" << parser.Help();
-    return 1;
-  }
-  err << "generated: " << ComputeStats(db).ToString() << "\n";
-  Status write = output.empty()
-                     ? WriteTimestampedSpmf(db, &out)
-                     : WriteTimestampedSpmfFile(db, output);
-  if (!write.ok()) return Fail(err, write);
+  TransactionDatabase db = dataset == "quest"
+                               ? gen::MakeT10I4D100K(scale, seed)
+                           : dataset == "shop14"
+                               ? gen::MakeShop14(scale, seed).db
+                               : gen::MakeTwitter(scale, seed).db;
+  cmd.err << "generated: " << ComputeStats(db).ToString() << "\n";
+  Status write = output.empty() ? WriteTimestampedSpmf(db, &cmd.out)
+                                : WriteTimestampedSpmfFile(db, output);
+  return write.ok() ? 0 : Fail(cmd.err, write);
+}
+
+int CmdConvert(Invocation& cmd) {
+  std::string output;
+  cmd.parser.AddString("output", "", "output path; empty = stdout", &output);
+  if (int code = cmd.Parse()) return code;
+  const TransactionDatabase& db = cmd.snapshot->db();
+  Status write = output.empty() ? WriteTimestampedSpmf(db, &cmd.out)
+                                : WriteTimestampedSpmfFile(db, output);
+  if (!write.ok()) return Fail(cmd.err, write);
+  cmd.err << "converted " << db.size() << " transactions\n";
   return 0;
 }
 
-int CmdConvert(int argc, const char* const* argv, std::ostream& out,
-               std::ostream& err) {
-  FlagParser parser("rpminer convert",
-                    "convert an event CSV to timestamped SPMF");
-  std::string input, output;
-  parser.AddString("input", "", "event CSV path (timestamp,item rows)",
-                   &input);
-  parser.AddString("output", "", "output path; empty = stdout", &output);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
-  if (input.empty()) {
-    err << "--input is required\n" << parser.Help();
-    return 1;
-  }
-  Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-      LoadSnapshot(input, "csv");
-  if (!snapshot.ok()) return Fail(err, snapshot.status());
-  const TransactionDatabase& db = (*snapshot)->db();
-  Status write = output.empty()
-                     ? WriteTimestampedSpmf(db, &out)
-                     : WriteTimestampedSpmfFile(db, output);
-  if (!write.ok()) return Fail(err, write);
-  err << "converted " << db.size() << " transactions\n";
-  return 0;
-}
-
-int CmdVerify(int argc, const char* const* argv, std::ostream& out,
-              std::ostream& err) {
-  FlagParser parser("rpminer verify",
-                    "differential correctness harness: randomized cases "
-                    "cross-checked against the definitional oracle, the "
-                    "parallel miner, the query engine and the windowed "
-                    "miner");
+int CmdVerify(Invocation& cmd) {
+  FlagParser& parser = cmd.parser;
   uint64_t cases = 200, seed = 7, threads = 4, max_failures = 5;
   uint64_t faults = 0, fault_ppm = 20000;
   bool no_oracle = false, no_parallel = false;
@@ -670,9 +595,39 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
                  "parameters",
                  &fixed_params);
   mining.Register(&parser);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
+  if (int code = cmd.Parse([&]() -> Status {
+        if (faults == 0 && parser.seen("fault-ppm")) {
+          return Status::InvalidArgument("--fault-ppm needs --faults");
+        }
+        for (const std::string name :
+             {"cases", "no-oracle", "no-parallel", "no-engine", "no-windowed",
+              "fixed-params"}) {
+          if (faults > 0 && parser.seen(name)) {
+            return Status::InvalidArgument(
+                "--faults conflicts with --" + name +
+                ": the fault campaign runs no generated cases");
+          }
+        }
+        if (fault_ppm > 1000000) {
+          return Status::InvalidArgument("--fault-ppm must be <= 1000000");
+        }
+        if (cases == 0) return Status::InvalidArgument("--cases must be >= 1");
+        for (const std::string& name : mining.kNames) {
+          if (!parser.seen(name)) continue;
+          if (!fixed_params) {
+            return Status::InvalidArgument("--" + name +
+                                           " needs --fixed-params");
+          }
+          if (name != "per" && name != "min-ps" && name != "min-rec" &&
+              name != "tolerance") {
+            return Status::InvalidArgument(
+                "--fixed-params conflicts with --" + name +
+                ": it pins --per/--min-ps/--min-rec/--tolerance only");
+          }
+        }
+        return Status::OK();
+      })) {
+    return code;
   }
   // First SIGINT/SIGTERM stops after the current case/trial and reports
   // what completed; a second one hard-exits.
@@ -680,10 +635,6 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
   ScopedSignalCancellation signal_guard(&cancel_token);
 
   if (faults > 0) {
-    if (fault_ppm > 1000000) {
-      err << "--fault-ppm must be <= 1000000\n";
-      return 1;
-    }
     FaultCampaignOptions campaign;
     campaign.trials = faults;
     campaign.seed = seed;
@@ -692,13 +643,8 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
     campaign.max_failures = max_failures == 0 ? 1 : max_failures;
     campaign.cancel = &cancel_token;
     FaultCampaignReport report = RunFaultCampaign(campaign);
-    out << report.ToString() << "\n";
-    if (report.cancelled) return 2;
-    return report.ok() ? 0 : 2;
-  }
-  if (cases == 0) {
-    err << "--cases must be >= 1\n";
-    return 1;
+    cmd.out << report.ToString() << "\n";
+    return report.ok() && !report.cancelled ? 0 : 2;
   }
   verify::VerifyOptions options;
   options.cases = cases;
@@ -711,26 +657,14 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
   options.cross_check.check_windowed = !no_windowed;
   options.cross_check.parallel_threads = threads;
   if (fixed_params) {
-    if (mining.min_ps_pct >= 0.0) {
-      err << "--min-ps-pct is per-database; use absolute --min-ps with "
-             "--fixed-params\n";
-      return 1;
-    }
-    if (mining.top_k > 0 || mining.closed || mining.maximal ||
-        mining.max_len > 0 || mining.window > 0 || mining.delta > 0) {
-      err << "--fixed-params supports threshold flags only "
-             "(per/min-ps/min-rec/tolerance)\n";
-      return 1;
-    }
     // Same resolution path as `mine` (db size is irrelevant without pct).
     Result<Query> query = mining.ToQuery(/*db_size=*/0);
-    if (!query.ok()) return Fail(err, query.status());
+    if (!query.ok()) return Fail(cmd.err, query.status());
     options.fixed_params = query->params;
   }
   verify::VerifyReport report = verify::RunVerification(options);
-  out << verify::FormatReport(report, options);
-  if (report.cancelled) return 2;
-  return report.ok() ? 0 : 2;
+  cmd.out << verify::FormatReport(report, options);
+  return report.ok() && !report.cancelled ? 0 : 2;
 }
 
 /// `rpminer serve`: long-lived query server over line-delimited JSON on
@@ -738,42 +672,36 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
 /// more can be hot-swapped in over the wire ({"op":"swap"}). Runs until
 /// SIGINT/SIGTERM, then drains: stop accepting, cancel in-flight queries,
 /// flush responses, force-close at --drain-deadline-ms.
-int CmdServe(int argc, const char* const* argv, std::ostream& out,
-             std::ostream& err) {
-  FlagParser parser("rpminer serve",
-                    "serve mining queries over line-delimited JSON");
+int CmdServe(Invocation& cmd) {
   ServeFlags flags;
-  flags.Register(&parser);
-  if (Status s = parser.Parse(argc, argv); !s.ok()) {
-    err << s.ToString() << "\n" << parser.Help();
-    return 1;
-  }
+  flags.Register(&cmd.parser);
+  if (int code = cmd.Parse()) return code;
   Result<serve::QueryService::Options> service_options =
       flags.ToServiceOptions();
-  if (!service_options.ok()) return Fail(err, service_options.status());
+  if (!service_options.ok()) return Fail(cmd.err, service_options.status());
   Result<serve::Server::Options> server_options = flags.ToServerOptions();
-  if (!server_options.ok()) return Fail(err, server_options.status());
+  if (!server_options.ok()) return Fail(cmd.err, server_options.status());
 
   serve::TenantRegistry tenants;
   if (!flags.config.empty()) {
     std::ifstream config(flags.config);
     if (!config) {
-      return Fail(err, Status::IOError("cannot open --config file '" +
-                                       flags.config + "'"));
+      return Fail(cmd.err, Status::IOError("cannot open --config file '" +
+                                           flags.config + "'"));
     }
     if (Status s = tenants.LoadConfig(config); !s.ok()) {
-      return Fail(err, s);
+      return Fail(cmd.err, s);
     }
   }
 
   // Positional datasets: name=path or name=path:format.
   engine::SnapshotRegistry registry;
-  for (const std::string& spec : parser.positional()) {
+  for (const std::string& spec : cmd.parser.positional()) {
     const size_t eq = spec.find('=');
     if (eq == std::string::npos || eq == 0) {
-      return Fail(err, Status::InvalidArgument(
-                           "dataset spec '" + spec +
-                           "' is not name=path[:format]"));
+      return Fail(cmd.err, Status::InvalidArgument(
+                               "dataset spec '" + spec +
+                               "' is not name=path[:format]"));
     }
     const std::string name = spec.substr(0, eq);
     std::string path = spec.substr(eq + 1);
@@ -787,53 +715,79 @@ int CmdServe(int argc, const char* const* argv, std::ostream& out,
       }
     }
     Result<std::shared_ptr<const DatasetSnapshot>> snapshot =
-        LoadSnapshot(path, format);
-    if (!snapshot.ok()) return Fail(err, snapshot.status());
+        DatasetSnapshot::Load(path, format);
+    if (!snapshot.ok()) return Fail(cmd.err, snapshot.status());
     if (Status s = registry.Register(name, std::move(*snapshot)); !s.ok()) {
-      return Fail(err, s);
+      return Fail(cmd.err, s);
     }
-    err << "dataset " << name << ": " << path << " (" << format << ")\n";
+    cmd.err << "dataset " << name << ": " << path << " (" << format << ")\n";
   }
 
   serve::QueryService service(&registry, std::move(tenants),
                               *service_options);
   serve::Server server(&service, *server_options);
-  if (Status s = server.Start(); !s.ok()) return Fail(err, s);
+  if (Status s = server.Start(); !s.ok()) return Fail(cmd.err, s);
 
   // First SIGINT/SIGTERM begins the drain; a second one hard-exits.
   CancellationToken cancel_token;
   ScopedSignalCancellation signal_guard(&cancel_token);
-  err << "rpminer serve listening on 127.0.0.1:" << server.port() << "\n";
-  out.flush();
-  err.flush();
+  cmd.err << "rpminer serve listening on 127.0.0.1:" << server.port()
+          << "\n";
+  cmd.out.flush();
+  cmd.err.flush();
   while (!cancel_token.cancelled()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  err << "drain: stopping accept loop, cancelling in-flight queries\n";
+  cmd.err << "drain: stopping accept loop, cancelling in-flight queries\n";
   const size_t forced = server.Drain();
-  err << "drain: complete (" << forced << " session(s) force-closed)\n";
+  cmd.err << "drain: complete (" << forced << " session(s) force-closed)\n";
   return 0;
 }
+
+/// One row per subcommand: RpminerUsage() renders this table and
+/// RunRpminer() dispatches from it, so the two cannot drift apart.
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*run)(Invocation& cmd);
+  Input input;
+};
+
+using enum Input;
+constexpr Command kCommands[] = {
+    {"mine",
+     "discover recurring patterns (RP-growth; --queries=FILE runs many "
+     "queries on one snapshot)",
+     CmdMine, kDataset},
+    {"pf-mine", "periodic-frequent baseline (PF-growth++)", CmdPfMine,
+     kDataset},
+    {"pp-mine", "p-pattern baseline (periodic-first)", CmdPpMine, kDataset},
+    {"stats", "dataset shape summary", CmdStats, kDataset},
+    {"advise", "suggest per/minPS/minRec starting points", CmdAdvise,
+     kDataset},
+    {"compare", "PF vs recurring vs p-patterns on one input", CmdCompare,
+     kDataset},
+    {"generate", "synthesize quest|shop14|twitter dataset", CmdGenerate,
+     kNone},
+    {"convert", "event CSV -> timestamped SPMF", CmdConvert, kCsv},
+    {"verify", "differential correctness harness (randomized cross-checks)",
+     CmdVerify, kNone},
+    {"serve",
+     "long-lived query server (line-delimited JSON over loopback TCP; "
+     "name=path datasets)",
+     CmdServe, kNone},
+};
 
 }  // namespace
 
 std::string RpminerUsage() {
-  return "usage: rpminer <command> [flags]\n"
-         "commands:\n"
-         "  mine      discover recurring patterns (RP-growth; "
-         "--queries=FILE runs many queries on one snapshot)\n"
-         "  pf-mine   periodic-frequent baseline (PF-growth++)\n"
-         "  pp-mine   p-pattern baseline (periodic-first)\n"
-         "  stats     dataset shape summary\n"
-         "  advise    suggest per/minPS/minRec starting points\n"
-         "  compare   PF vs recurring vs p-patterns on one input\n"
-         "  generate  synthesize quest|shop14|twitter dataset\n"
-         "  convert   event CSV -> timestamped SPMF\n"
-         "  verify    differential correctness harness (randomized "
-         "cross-checks)\n"
-         "  serve     long-lived query server (line-delimited JSON over "
-         "loopback TCP; name=path datasets)\n"
+  std::string usage = "usage: rpminer <command> [flags]\ncommands:\n";
+  for (const Command& c : kCommands) {
+    usage += "  " + std::string(c.name).append(10 - std::strlen(c.name), ' ') +
+             c.summary + "\n";
+  }
+  return usage +
          "run 'rpminer <command> --help' is not supported; invalid flags "
          "print the command's flag list\n";
 }
@@ -844,23 +798,17 @@ int RunRpminer(int argc, const char* const* argv, std::ostream& out,
     err << RpminerUsage();
     return 1;
   }
-  const std::string command = argv[1];
-  // Shift argv so subcommands see their own flags as argv[1..].
-  const int sub_argc = argc - 1;
-  const char* const* sub_argv = argv + 1;
-  if (command == "mine") return CmdMine(sub_argc, sub_argv, out, err);
-  if (command == "pf-mine") return CmdPfMine(sub_argc, sub_argv, out, err);
-  if (command == "pp-mine") return CmdPpMine(sub_argc, sub_argv, out, err);
-  if (command == "stats") return CmdStats(sub_argc, sub_argv, out, err);
-  if (command == "advise") return CmdAdvise(sub_argc, sub_argv, out, err);
-  if (command == "compare") return CmdCompare(sub_argc, sub_argv, out, err);
-  if (command == "generate") {
-    return CmdGenerate(sub_argc, sub_argv, out, err);
+  const std::string name = argv[1];
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    // Shift argv so the subcommand sees its own flags as argv[1..].
+    Invocation cmd{argc - 1, argv + 1, out, err,
+                   FlagParser("rpminer " + name, command.summary),
+                   command.input};
+    if (command.input != kNone) cmd.data.Register(&cmd.parser, command.input);
+    return command.run(cmd);
   }
-  if (command == "convert") return CmdConvert(sub_argc, sub_argv, out, err);
-  if (command == "verify") return CmdVerify(sub_argc, sub_argv, out, err);
-  if (command == "serve") return CmdServe(sub_argc, sub_argv, out, err);
-  err << "unknown command '" << command << "'\n" << RpminerUsage();
+  err << "unknown command '" << name << "'\n" << RpminerUsage();
   return 1;
 }
 

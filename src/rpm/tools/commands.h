@@ -1,13 +1,8 @@
 // Implementation of the `rpminer` command-line tool, separated from main()
 // so the commands are unit-testable against in-memory streams.
 //
-// Subcommands:
-//   mine      discover recurring patterns in an event file
-//   pf-mine   periodic-frequent baseline
-//   pp-mine   p-pattern baseline
-//   stats     dataset shape summary
-//   generate  synthesize one of the paper's evaluation datasets
-//   convert   event CSV -> timestamped SPMF
+// The subcommands are the rows of one table in commands.cc (kCommands):
+// RpminerUsage() lists them and RunRpminer() dispatches from it.
 
 #ifndef RPM_TOOLS_COMMANDS_H_
 #define RPM_TOOLS_COMMANDS_H_

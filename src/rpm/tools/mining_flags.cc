@@ -73,6 +73,40 @@ Result<engine::Query> MiningQueryFlags::ToQuery(size_t db_size) const {
   return query;
 }
 
+void ExecFlags::Register(FlagParser* parser) {
+  parser->AddUint64("threads", threads,
+                    "mining worker threads (0 = one per hardware thread, "
+                    "1 = sequential); results are identical either way",
+                    &threads);
+  parser->AddString("backend", backend,
+                    "executor: sequential|parallel|windowed "
+                    "(default: sequential, parallel when --threads != 1)",
+                    &backend);
+}
+
+Status ExecFlags::Check() const {
+  if (threads != 1 && (backend == "sequential" || backend == "windowed")) {
+    return Status::InvalidArgument(
+        "--threads=" + std::to_string(threads) + " conflicts with --backend=" +
+        backend + ": that backend mines on one thread");
+  }
+  return Status::OK();
+}
+
+Result<ParsedQueryLine> ResolveQuery(const MiningQueryFlags& mining,
+                                     const ExecFlags& exec, size_t db_size) {
+  RPM_RETURN_NOT_OK(exec.Check());
+  ParsedQueryLine parsed;
+  RPM_ASSIGN_OR_RETURN(parsed.query, mining.ToQuery(db_size));
+  parsed.backend = exec.threads == 1 ? engine::BackendKind::kSequential
+                                     : engine::BackendKind::kParallel;
+  if (!exec.backend.empty()) {
+    RPM_ASSIGN_OR_RETURN(parsed.backend, engine::ParseBackend(exec.backend));
+  }
+  parsed.threads = exec.threads;
+  return parsed;
+}
+
 Result<ParsedQueryLine> ParseMiningQuery(const std::string& line,
                                          size_t db_size) {
   std::vector<std::string> tokens;
@@ -82,20 +116,12 @@ Result<ParsedQueryLine> ParseMiningQuery(const std::string& line,
   // Reuse the real parser so a query line accepts exactly the syntax (and
   // rejects exactly the typos) the command line would.
   FlagParser parser("query", "one --queries file line");
-  MiningQueryFlags flags;
-  flags.Register(&parser);
-  std::string backend_name = "sequential";
-  uint64_t threads = 0;
-  parser.AddString("backend", backend_name,
-                   "executor: sequential|parallel|windowed",
-                   &backend_name);
-  parser.AddUint64("threads", threads,
-                   "parallel-backend workers (0 = hardware threads)",
-                   &threads);
+  MiningQueryFlags mining;
+  ExecFlags exec;
+  mining.Register(&parser);
+  exec.Register(&parser);
 
-  std::vector<const char*> argv;
-  argv.reserve(tokens.size() + 1);
-  argv.push_back("query");  // Parse() skips argv[0].
+  std::vector<const char*> argv = {"query"};  // Parse() skips argv[0].
   for (const std::string& token : tokens) argv.push_back(token.c_str());
   RPM_RETURN_NOT_OK(
       parser.Parse(static_cast<int>(argv.size()), argv.data()));
@@ -103,12 +129,7 @@ Result<ParsedQueryLine> ParseMiningQuery(const std::string& line,
     return Status::InvalidArgument("query line has non-flag token '" +
                                    parser.positional().front() + "'");
   }
-
-  ParsedQueryLine parsed;
-  RPM_ASSIGN_OR_RETURN(parsed.query, flags.ToQuery(db_size));
-  RPM_ASSIGN_OR_RETURN(parsed.backend, engine::ParseBackend(backend_name));
-  parsed.threads = threads;
-  return parsed;
+  return ResolveQuery(mining, exec, db_size);
 }
 
 }  // namespace rpm::tools

@@ -1,11 +1,10 @@
-// One definition of the mining-threshold flags for every entry point.
+// One definition of the per-query flags for every entry point.
 //
-// `rpminer mine`, `rpminer verify --fixed-params`, `rpminer compare` and
-// the --queries multi-query path had been growing their own copies of the
-// per/minPS/minRec flag set; this header is now the single place the flag
-// names, defaults and the minPS resolution rule live, so the subcommands
-// cannot drift apart (defaults are regression-pinned in
-// tests/mining_flags_test.cc).
+// `rpminer mine`, `verify --fixed-params`, `compare` and the --queries
+// lines share the threshold flags; `mine` and the --queries lines also
+// share --backend/--threads and the rule that resolves both (ResolveQuery),
+// so the entry points cannot drift apart (defaults are regression-pinned
+// in tests/mining_flags_test.cc).
 
 #ifndef RPM_TOOLS_MINING_FLAGS_H_
 #define RPM_TOOLS_MINING_FLAGS_H_
@@ -13,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "rpm/common/flags.h"
 #include "rpm/common/status.h"
@@ -43,6 +43,13 @@ struct MiningQueryFlags {
   int64_t window = 0;  ///< --window
   uint64_t delta = 0;  ///< --delta
 
+  /// The names Register() adds, for flag-combination checks.
+  inline static const std::vector<std::string> kNames = {
+      "per",        "min-ps",     "min-ps-pct",    "min-rec",
+      "tolerance",  "top-k",      "max-length",    "closed",
+      "maximal",    "timeout-ms", "max-memory-mb", "max-patterns",
+      "window",     "delta"};
+
   /// Registers all fourteen flags on `parser`, using the current field
   /// values as the advertised defaults. `this` must outlive
   /// parser.Parse().
@@ -56,19 +63,35 @@ struct MiningQueryFlags {
   Result<engine::Query> ToQuery(size_t db_size) const;
 };
 
-/// One resolved line of a --queries file.
+/// --backend and --threads, as `mine` and every --queries line take them.
+struct ExecFlags {
+  std::string backend;   ///< --backend ("" = chosen by --threads)
+  uint64_t threads = 1;  ///< --threads (0 = one per hardware thread)
+
+  void Register(FlagParser* parser);
+  /// InvalidArgument naming both flags when --threads is not 1 but
+  /// --backend names sequential or windowed: both mine on one thread.
+  Status Check() const;
+};
+
+/// One resolved query: what it asks and how it runs.
 struct ParsedQueryLine {
   engine::Query query;
   engine::BackendKind backend = engine::BackendKind::kSequential;
   /// Worker threads for the parallel backend (engine::ExecOptions).
-  uint64_t threads = 0;
+  uint64_t threads = 1;
 };
 
-/// Parses one --queries file line — the `rpminer mine` threshold flags
-/// plus `--backend=sequential|parallel|windowed` and `--threads=N` —
-/// with exactly the shared defaults and minPS resolution. Tokens are
-/// whitespace-separated (no quoting; `--flag=value` form recommended).
-/// The caller strips blank lines and '#' comments.
+/// Resolves parsed query flags, for the `mine` command line and every
+/// --queries line alike: ExecFlags::Check, MiningQueryFlags::ToQuery, and
+/// --backend, or by default sequential at --threads=1 and else parallel.
+Result<ParsedQueryLine> ResolveQuery(const MiningQueryFlags& mining,
+                                     const ExecFlags& exec, size_t db_size);
+
+/// Parses one --queries file line (the MiningQueryFlags and ExecFlags
+/// sets) through ResolveQuery. Tokens are whitespace-separated (no
+/// quoting; `--flag=value` form recommended). The caller strips blank
+/// lines and '#' comments.
 Result<ParsedQueryLine> ParseMiningQuery(const std::string& line,
                                          size_t db_size);
 

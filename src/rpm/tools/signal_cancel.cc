@@ -41,8 +41,4 @@ ScopedSignalCancellation::~ScopedSignalCancellation() {
   g_token.store(nullptr, std::memory_order_release);
 }
 
-bool ScopedSignalCancellation::signal_received() {
-  return g_signal_count.load(std::memory_order_acquire) > 0;
-}
-
 }  // namespace rpm::tools

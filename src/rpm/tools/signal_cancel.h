@@ -33,9 +33,6 @@ class ScopedSignalCancellation {
   ScopedSignalCancellation& operator=(const ScopedSignalCancellation&) =
       delete;
 
-  /// True once a signal has been delivered in this scope.
-  static bool signal_received();
-
  private:
   struct sigaction old_int_;
   struct sigaction old_term_;

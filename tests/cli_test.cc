@@ -27,6 +27,14 @@ std::string WritePaperExampleFile() {
   return path;
 }
 
+/// Writes a --queries file; returns the path.
+std::string WriteQueriesFile(const std::string& contents) {
+  std::string path = ::testing::TempDir() + "/rpminer_cli_queries.txt";
+  std::ofstream out(path);
+  out << contents;
+  return path;
+}
+
 int RunCli(std::initializer_list<const char*> args, std::string* out_text,
         std::string* err_text) {
   std::vector<const char*> argv(args);
@@ -50,6 +58,121 @@ TEST(CliTest, UnknownCommand) {
   EXPECT_NE(err.find("unknown command"), std::string::npos);
 }
 
+TEST(CliTest, EveryListedCommandDispatches) {
+  // The usage text is rendered from the dispatch table: every name it lists
+  // must reach its own flag parser, not the unknown-command path.
+  std::istringstream usage(RpminerUsage());
+  std::vector<std::string> names;
+  for (std::string line; std::getline(usage, line);) {
+    if (line.rfind("  ", 0) == 0) {
+      names.push_back(line.substr(2, line.find(' ', 2) - 2));
+    }
+  }
+  EXPECT_EQ(names.size(), 10u) << RpminerUsage();
+  for (const std::string& name : names) {
+    std::vector<const char*> argv = {"rpminer", name.c_str(),
+                                     "--no-such-flag"};
+    std::ostringstream out, err;
+    EXPECT_EQ(RunRpminer(static_cast<int>(argv.size()), argv.data(), out,
+                         err),
+              1)
+        << name;
+    EXPECT_EQ(err.str().find("unknown command"), std::string::npos) << name;
+    EXPECT_NE(err.str().find("unknown flag --no-such-flag"),
+              std::string::npos)
+        << name << ": " << err.str();
+    EXPECT_NE(err.str().find("rpminer " + name), std::string::npos)
+        << name << ": " << err.str();
+  }
+}
+
+TEST(CliTest, ConflictingFlagsAreUsageErrorsNamingBothFlags) {
+  // Each case: the argv after "rpminer", then the two flags the message
+  // must name. Every case is rejected before any input is read.
+  struct Case {
+    std::vector<const char*> args;
+    const char* first;
+    const char* second;
+  };
+  const std::vector<Case> cases = {
+      {{"mine", "--input=/no/such/file", "--queries=q.txt", "--per=2"},
+       "--queries",
+       "--per"},
+      {{"mine", "--input=/no/such/file", "--queries=q.txt",
+        "--max-patterns=5"},
+       "--queries",
+       "--max-patterns"},
+      {{"mine", "--input=/no/such/file", "--queries=q.txt", "--threads=4"},
+       "--queries",
+       "--threads"},
+      {{"mine", "--input=/no/such/file", "--queries=q.txt",
+        "--backend=parallel"},
+       "--queries",
+       "--backend"},
+      {{"mine", "--input=/no/such/file", "--queries=q.txt", "--stats"},
+       "--queries",
+       "--stats"},
+      {{"mine", "--input=/no/such/file", "--queries=q.txt",
+        "--output-format=json"},
+       "--queries",
+       "--output-format"},
+      {{"mine", "--input=/no/such/file", "--stats", "--output-format=csv"},
+       "--stats",
+       "--output-format"},
+      {{"mine", "--input=/no/such/file", "--threads=4",
+        "--backend=sequential"},
+       "--threads",
+       "--backend"},
+      {{"mine", "--input=/no/such/file", "--threads=0", "--backend=windowed",
+        "--window=10"},
+       "--threads",
+       "--backend"},
+      {{"verify", "--fault-ppm=10"}, "--fault-ppm", "--faults"},
+      {{"verify", "--faults=5", "--cases=3"}, "--faults", "--cases"},
+      {{"verify", "--faults=5", "--no-oracle"}, "--faults", "--no-oracle"},
+      {{"verify", "--faults=5", "--fixed-params", "--per=2"},
+       "--faults",
+       "--fixed-params"},
+      {{"verify", "--cases=2", "--per=2"}, "--per", "--fixed-params"},
+      {{"verify", "--cases=2", "--min-rec=3"}, "--min-rec", "--fixed-params"},
+  };
+  for (const Case& c : cases) {
+    std::vector<const char*> argv = {"rpminer"};
+    argv.insert(argv.end(), c.args.begin(), c.args.end());
+    std::ostringstream out, err;
+    const std::string label = std::string(c.first) + " / " + c.second;
+    EXPECT_EQ(RunRpminer(static_cast<int>(argv.size()), argv.data(), out,
+                         err),
+              1)
+        << label << ": " << err.str();
+    EXPECT_NE(err.str().find(c.first), std::string::npos) << err.str();
+    EXPECT_NE(err.str().find(c.second), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty()) << label << ": " << out.str();
+  }
+}
+
+TEST(CliTest, QueryLineAndCommandLineResolveTheSameBackend) {
+  std::string path = WritePaperExampleFile();
+  std::string queries =
+      WriteQueriesFile("--per=2 --min-ps=3 --min-rec=2 --threads=2\n");
+  std::string out, err;
+  ASSERT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--per=2",
+                    "--min-ps=3", "--min-rec=2", "--threads=2"},
+                   &out, &err),
+            0)
+      << err;
+  EXPECT_NE(err.find("[2 threads"), std::string::npos) << err;
+  ASSERT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--queries",
+                    queries.c_str()},
+                   &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find("\"backend\": \"parallel\""), std::string::npos)
+      << out;
+  std::remove(path.c_str());
+  std::remove(queries.c_str());
+}
+
 TEST(CliTest, MineRequiresInput) {
   std::string out, err;
   EXPECT_EQ(RunCli({"rpminer", "mine", "--per=2"}, &out, &err), 1);
@@ -64,6 +187,18 @@ TEST(CliTest, MineUnknownFlag) {
   const size_t first = err.find("flags:\n");
   ASSERT_NE(first, std::string::npos) << err;
   EXPECT_EQ(err.find("flags:\n", first + 1), std::string::npos) << err;
+}
+
+TEST(CliTest, MineRejectsUnknownOutputFormatBeforeReading) {
+  // Checked with the flags, not after a full mine: the input never loads.
+  std::string out, err;
+  EXPECT_EQ(RunCli({"rpminer", "mine", "--input=/no/such/file", "--per=2",
+                    "--output-format=xml"},
+                   &out, &err),
+            1);
+  EXPECT_NE(err.find("unknown --output-format 'xml'"), std::string::npos)
+      << err;
+  EXPECT_TRUE(out.empty()) << out;
 }
 
 TEST(CliTest, MineRejectsRemovedStreamingBackend) {
@@ -362,14 +497,6 @@ TEST(CliTest, ConvertCsvToSpmf) {
 }
 
 // --- mine --queries=FILE (multi-query sessions) -----------------------------
-
-/// Writes a --queries file; returns the path.
-std::string WriteQueriesFile(const std::string& contents) {
-  std::string path = ::testing::TempDir() + "/rpminer_cli_queries.txt";
-  std::ofstream out(path);
-  out << contents;
-  return path;
-}
 
 TEST(CliTest, MineQueriesSharesOneTreeBuildAcrossBackends) {
   std::string path = WritePaperExampleFile();

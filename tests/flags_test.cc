@@ -59,6 +59,22 @@ TEST(FlagParserTest, BoolRejectsJunk) {
       parser.Parse(static_cast<int>(argv.size()), argv.data()).ok());
 }
 
+TEST(FlagParserTest, SeenReportsGivenFlagsEvenAtTheirDefault) {
+  FlagParser parser("p", "d");
+  int64_t per = 0, rec = 0;
+  bool closed = false;
+  parser.AddInt64("per", 1, "h", &per);
+  parser.AddInt64("min-rec", 1, "h", &rec);
+  parser.AddBool("closed", false, "h", &closed);
+  EXPECT_FALSE(parser.seen("per"));
+  auto argv = Argv({"prog", "--per=1", "--closed=false"});
+  ASSERT_TRUE(parser.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  EXPECT_TRUE(parser.seen("per"));  // Given, though equal to the default.
+  EXPECT_TRUE(parser.seen("closed"));
+  EXPECT_FALSE(parser.seen("min-rec"));
+  EXPECT_FALSE(parser.seen("unregistered"));
+}
+
 TEST(FlagParserTest, UnknownFlagIsError) {
   FlagParser parser("p", "d");
   auto argv = Argv({"prog", "--mystery=1"});

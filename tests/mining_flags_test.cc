@@ -178,7 +178,41 @@ TEST(ParseMiningQueryTest, DefaultsMatchTheMineSubcommand) {
   EXPECT_EQ(line->query.params.min_ps, 1u);
   EXPECT_EQ(line->query.params.min_rec, 1u);
   EXPECT_EQ(line->backend, engine::BackendKind::kSequential);
-  EXPECT_EQ(line->threads, 0u);
+  EXPECT_EQ(line->threads, 1u);
+}
+
+TEST(ParseMiningQueryTest, ThreadsPickTheBackendLikeTheMineCommandLine) {
+  // `mine --threads=4` runs the parallel backend; so does the same line.
+  Result<ParsedQueryLine> line = ParseMiningQuery("--per=2 --threads=4", 100);
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  EXPECT_EQ(line->backend, engine::BackendKind::kParallel);
+  EXPECT_EQ(line->threads, 4u);
+
+  MiningQueryFlags mining;
+  mining.per = 2;
+  ExecFlags exec;
+  exec.threads = 4;
+  Result<ParsedQueryLine> command_line = ResolveQuery(mining, exec, 100);
+  ASSERT_TRUE(command_line.ok());
+  EXPECT_EQ(command_line->backend, line->backend);
+  EXPECT_EQ(command_line->threads, line->threads);
+}
+
+TEST(ParseMiningQueryTest, RejectsAThreadCountTheBackendIgnores) {
+  for (const char* backend : {"sequential", "windowed"}) {
+    Result<ParsedQueryLine> line = ParseMiningQuery(
+        std::string("--per=2 --window=10 --threads=4 --backend=") + backend,
+        100);
+    ASSERT_FALSE(line.ok()) << backend;
+    EXPECT_NE(line.status().message().find("--threads=4"), std::string::npos)
+        << line.status().ToString();
+    EXPECT_NE(line.status().message().find("--backend="), std::string::npos)
+        << line.status().ToString();
+  }
+  EXPECT_TRUE(
+      ParseMiningQuery("--per=2 --threads=1 --backend=sequential", 100).ok());
+  EXPECT_TRUE(
+      ParseMiningQuery("--per=2 --threads=0 --backend=parallel", 100).ok());
 }
 
 TEST(ParseMiningQueryTest, SharesTheMinPsPctResolution) {

@@ -123,6 +123,10 @@ TEST(CacheKey, CoversShapeNotLimitsOrBackend) {
   limited.limits.timeout_ms = 5;
   limited.limits.memory_budget_bytes = 1 << 20;
   EXPECT_EQ(CacheKey("d", 1, limited, kSeq), key);
+  // ...except the pattern cap: the full answer may exceed it.
+  engine::Query capped = base;
+  capped.limits.max_patterns = 1;
+  EXPECT_NE(CacheKey("d", 1, capped, kSeq), key);
 
   // Everything that changes the payload must change the key.
   engine::Query stricter = base;

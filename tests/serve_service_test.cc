@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -143,6 +144,26 @@ TEST_F(ServiceTest, TruncatedResultsAreNeverCached) {
   JsonValue second = MustParse(service.HandleLine(PaperQuery("q2")));
   EXPECT_EQ(second.Find("meta")->Find("cache")->string_value, "miss");
   EXPECT_EQ(service.cache_stats().hits, 0u);
+}
+
+TEST_F(ServiceTest, CappedTenantIsNotServedAnUncappedCachedAnswer) {
+  TenantRegistry tenants;
+  std::istringstream config(
+      "{\"tenant\": \"capped\", \"max_patterns\": 1}\n");
+  ASSERT_TRUE(tenants.LoadConfig(config).ok());
+  QueryService service(&registry_, std::move(tenants), {});
+  // An uncapped tenant caches the full answer first...
+  JsonValue full = MustParse(service.HandleLine(PaperQuery("q1")));
+  ASSERT_EQ(StatusOf(full), "OK");
+  EXPECT_FALSE(full.Find("truncated")->bool_value);
+  // ...and the same shape from a tenant capped at one pattern must still
+  // get a capped, truncated answer, not the cached full one.
+  JsonValue capped = MustParse(
+      service.HandleLine(PaperQuery("q2", ",\"tenant\":\"capped\"")));
+  ASSERT_EQ(StatusOf(capped), "OK");
+  EXPECT_TRUE(capped.Find("truncated")->bool_value);
+  EXPECT_LE(capped.Find("pattern_count")->integer, 1);
+  EXPECT_EQ(capped.Find("meta")->Find("cache")->string_value, "miss");
 }
 
 TEST_F(ServiceTest, SwapBumpsEpochAndInvalidatesCache) {
