@@ -124,7 +124,7 @@ int main() {
     const double baseline_mine = BaselineMineSeconds(w.dataset);
     size_t base_patterns = 0;
     size_t base_merges = 0, base_runs = 0, base_timestamps = 0;
-    size_t base_gate_lists = 0, base_gate_gaps = 0;
+    size_t base_gate_lists = 0, base_gate_gaps = 0, base_pruned = 0;
     for (size_t threads : thread_counts) {
       rpm::RpGrowthOptions options;
       options.num_threads = threads;
@@ -139,22 +139,25 @@ int main() {
         base_timestamps = s.timestamps_merged;
         base_gate_lists = s.gate_lists_scanned;
         base_gate_gaps = s.gate_gaps_scanned;
+        base_pruned = s.support_pruned;
       } else if (s.patterns_emitted != base_patterns ||
                  s.merge_invocations != base_merges ||
                  s.runs_merged != base_runs ||
                  s.timestamps_merged != base_timestamps ||
                  s.gate_lists_scanned != base_gate_lists ||
-                 s.gate_gaps_scanned != base_gate_gaps) {
+                 s.gate_gaps_scanned != base_gate_gaps ||
+                 s.support_pruned != base_pruned) {
         ++violations;
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: %s at %zu threads: patterns "
                      "%zu/%zu merges %zu/%zu runs %zu/%zu ts %zu/%zu gate "
-                     "%zu/%zu gaps %zu/%zu\n",
+                     "%zu/%zu gaps %zu/%zu pruned %zu/%zu\n",
                      w.dataset, threads, s.patterns_emitted, base_patterns,
                      s.merge_invocations, base_merges, s.runs_merged,
                      base_runs, s.timestamps_merged, base_timestamps,
                      s.gate_lists_scanned, base_gate_lists,
-                     s.gate_gaps_scanned, base_gate_gaps);
+                     s.gate_gaps_scanned, base_gate_gaps, s.support_pruned,
+                     base_pruned);
       }
       const double avg_run_len =
           s.runs_merged > 0
@@ -187,6 +190,7 @@ int main() {
       json.Add("avg_run_length", avg_run_len);
       json.Add("gate_lists_scanned", s.gate_lists_scanned);
       json.Add("gate_gaps_scanned", s.gate_gaps_scanned);
+      json.Add("support_pruned", s.support_pruned);
       if (baseline_mine > 0.0 && threads == 1) {
         json.Add("baseline_mine_seconds", baseline_mine);
         json.Add("speedup_vs_baseline",

@@ -56,6 +56,7 @@ COUNTER_FIELDS = [
     "timestamps_merged",
     "gate_lists_scanned",
     "gate_gaps_scanned",
+    "support_pruned",
     "patterns_final",
     "timestamps_appended",
     "timestamps_retired",

@@ -165,7 +165,11 @@ echo "== stage 8: AddressSanitizer over the parsers + fault campaign =="
 # suite run here as well. A pattern base's sorted path lists point into a
 # per-frame slab and into the parent frame's accumulators, and a child
 # level reads its TS^beta from those accumulators while it mines, so the
-# miner suite (with its fragmenting fixtures) runs here too. The CLI
+# miner suite (with its fragmenting fixtures) runs here too. The walk
+# indexes fixed lane arrays and the count rule skips lists mid-frame, and
+# the windowed sub-mines and governed stops exercise both on many tiny
+# trees and mid-walk stops, so the windowed-miner and governance suites
+# run here as well. The CLI
 # parses argv and --queries files, and the server parses wire JSON, all
 # from outside the program, so the flag, CLI and protocol suites run here
 # as well.
@@ -173,13 +177,16 @@ cmake -B build-asan -S . -DRPM_SANITIZE=address \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j"${JOBS}" --target rpminer io_test \
       robustness_test rp_tree_test rp_growth_test rp_growth_parallel_test \
-      cli_test flags_test mining_flags_test serve_protocol_test
+      windowed_miner_test governance_test cli_test flags_test \
+      mining_flags_test serve_protocol_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/io_test
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/tests/robustness_test --gtest_filter='ParserRobustnessTest.*'
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_tree_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_parallel_test
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/windowed_miner_test
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/governance_test
 for suite in cli_test flags_test mining_flags_test serve_protocol_test; do
   ASAN_OPTIONS=detect_leaks=1 "./build-asan/tests/${suite}"
 done

@@ -89,7 +89,7 @@ class VerticalMiner {
 
  private:
   bool PassesGate(const TimestampList& ts) const {
-    if (ts.size() < params_.min_ps * params_.min_rec) return false;
+    if (ts.size() < MinSupport(params_)) return false;
     if (!options_.use_candidate_pruning) return true;
     return ComputeRecurrenceUpperBound(ts, params_) >= params_.min_rec;
   }

@@ -1,6 +1,7 @@
 #include "rpm/core/mining_params.h"
 
 #include <cmath>
+#include <limits>
 
 namespace rpm {
 
@@ -26,6 +27,14 @@ std::string RpParams::ToString() const {
     out += ", maxViolations=" + std::to_string(max_gap_violations);
   }
   return out;
+}
+
+uint64_t MinSupport(const RpParams& params) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  if (params.min_rec != 0 && params.min_ps > kMax / params.min_rec) {
+    return kMax;
+  }
+  return params.min_ps * params.min_rec;
 }
 
 Result<RpParams> MakeParamsWithMinPsFraction(Timestamp period,

@@ -37,6 +37,11 @@ struct RpParams {
   friend bool operator==(const RpParams&, const RpParams&) = default;
 };
 
+/// minPS * minRec, saturating at UINT64_MAX: the least support any
+/// recurring pattern can have (Erec <= floor(support / minPS), Sec. 4.1).
+/// Saturates so that a huge minPS cannot wrap the product to a tiny gate.
+uint64_t MinSupport(const RpParams& params);
+
 /// Builds params with minPS given as a fraction of the database size, the
 /// way the paper's experiments state it (e.g. "minPS = 0.1%" of
 /// |TDB| = 100,000 means min_ps = 100). Rounds up; clamps to >= 1.

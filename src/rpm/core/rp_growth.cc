@@ -20,6 +20,9 @@
 namespace rpm {
 namespace {
 
+/// Nodes whose ancestor chains CollectAndMine walks in lockstep.
+constexpr uint32_t kWalkLanes = 16;
+
 /// One (prefix path, ts-list) element of a conditional pattern base. The
 /// ancestor ranks live in the owning frame's flat rank storage (no
 /// per-path heap allocation). The ts-list starts as a range of the mined
@@ -121,6 +124,7 @@ class Miner {
         options_(options),
         result_(result),
         scratch_(scratch),
+        min_support_(MinSupport(params)),
         checkpoint_(options.budget) {}
 
   /// How one governed top-level subproblem ended. Truncation is
@@ -193,7 +197,7 @@ class Miner {
   /// support-only gate in the ablation mode.
   bool PassesGate(const TimestampList& sorted_ts) const {
     if (options_.pruning == PruningMode::kSupportOnly) {
-      return sorted_ts.size() >= params_.min_ps * params_.min_rec;
+      return sorted_ts.size() >= min_support_;
     }
     return ComputeRecurrenceUpperBound(sorted_ts, params_,
                                        &scratch_->gate_masks,
@@ -206,27 +210,63 @@ class Miner {
   /// `handed` is TS^beta when the parent level already merged it; only
   /// the top-level ranks of the sealed tree (handed == nullptr) merge
   /// TS^beta from the nodes' sorted runs here.
+  ///
+  /// Each parent load depends on the one before it, so one chain at a
+  /// time waits on one cache miss at a time. The walk therefore takes the
+  /// nodes kWalkLanes at a time: it first advances all their chains one
+  /// step per round, counting each path's length, so the lanes' misses
+  /// are in flight together; then it writes each lane's ranks back to
+  /// front over the now-cached links, so a path's ranks come out
+  /// ascending, exactly as a plain walk plus reverse would leave them.
   void CollectAndMine(const TsPrefixTree& tree, size_t rank,
                       const TimestampList* handed, Itemset* suffix) {
+    constexpr uint32_t kNoParent = TsPrefixTree::kNoParent;
     Frame& frame = scratch_->FrameAt(depth_);
     frame.paths.clear();
     frame.rank_storage.clear();
     frame.beta_runs.clear();
-    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+    const uint32_t end = tree.RankEnd(rank);
+    for (uint32_t first = tree.RankBegin(rank); first < end;
+         first += kWalkLanes) {
       if (ShouldStop()) return;  // Abandoned mid-walk.
-      const std::span<const Timestamp> ts = tree.ListOf(n);
-      const size_t begin = frame.rank_storage.size();
-      for (uint32_t a = tree.LinkOf(n).parent; a != TsPrefixTree::kNoParent;
-           a = tree.LinkOf(a).parent) {
-        frame.rank_storage.push_back(tree.LinkOf(a).rank);
+      const uint32_t lanes = std::min(kWalkLanes, end - first);
+      // Only the first `lanes` entries are written and read. Zeroing the
+      // array, or resetting separate at/len arrays, compiles to a memset
+      // whose fixed cost doubled the walk on small conditional trees.
+      struct Lane {
+        uint32_t at;   ///< Next ancestor to load.
+        uint32_t len;  ///< Ancestors counted so far.
+      } lane[kWalkLanes];
+      for (uint32_t l = 0; l < lanes; ++l) {
+        lane[l] = {tree.LinkOf(first + l).parent, 0};
       }
-      const size_t len = frame.rank_storage.size() - begin;
-      if (ts.empty() && len == 0) continue;
-      std::reverse(frame.rank_storage.begin() + begin,
-                   frame.rank_storage.end());
-      frame.paths.push_back({static_cast<uint32_t>(begin),
-                             static_cast<uint32_t>(len), ts});
-      if (handed == nullptr) AppendSortedRuns(ts, &frame.beta_runs);
+      for (bool live = true; live;) {
+        live = false;
+        for (uint32_t l = 0; l < lanes; ++l) {
+          if (lane[l].at == kNoParent) continue;
+          ++lane[l].len;
+          lane[l].at = tree.LinkOf(lane[l].at).parent;
+          live = true;
+        }
+      }
+      size_t total = 0;
+      for (uint32_t l = 0; l < lanes; ++l) total += lane[l].len;
+      size_t begin = frame.rank_storage.size();
+      frame.rank_storage.resize(begin + total);
+      for (uint32_t l = 0; l < lanes; ++l) {
+        const uint32_t n = first + l;
+        const uint32_t len = lane[l].len;
+        const std::span<const Timestamp> ts = tree.ListOf(n);
+        if (ts.empty() && len == 0) continue;
+        uint32_t* out = frame.rank_storage.data() + begin + len;
+        for (uint32_t a = tree.LinkOf(n).parent; a != kNoParent;
+             a = tree.LinkOf(a).parent) {
+          *--out = tree.LinkOf(a).rank;
+        }
+        frame.paths.push_back({static_cast<uint32_t>(begin), len, ts});
+        begin += len;
+        if (handed == nullptr) AppendSortedRuns(ts, &frame.beta_runs);
+      }
     }
     if (handed == nullptr) {
       if (frame.beta_runs.empty()) return;  // No timestamps at this rank.
@@ -255,7 +295,7 @@ class Miner {
     // intervals.
     bool gate_passed;
     if (options_.pruning == PruningMode::kSupportOnly) {
-      gate_passed = ts_beta.size() >= params_.min_ps * params_.min_rec;
+      gate_passed = ts_beta.size() >= min_support_;
       if (gate_passed) {
         FindInterestingIntervalsInto(ts_beta, params_, &frame.intervals);
       }
@@ -359,24 +399,32 @@ class Miner {
     }
     if (frame.touched.empty()) return;
 
-    // Merge each touched item's runs and keep items that can still extend
-    // beta (conditional Erec gate). On a stop, the remaining touched
-    // entries still need their runs cleared — the grow-only scratch
-    // invariant ("runs_by_rank[r] empty between subproblems") must hold
-    // for whatever this worker mines next.
+    // Count first, then merge. The paths partition TS^beta, so
+    // |TS^{beta+i}| is the summed length of i's runs. A list shorter than
+    // MinSupport fails the gate whatever its order (Erec <=
+    // floor(|TS| / minPS) < minRec), so it is counted as pruned and never
+    // merged or scanned. The others are merged and kept if they can still
+    // extend beta (conditional Erec gate). Every touched entry's runs are
+    // cleared, on a stop too — the grow-only scratch invariant
+    // ("runs_by_rank[r] empty between subproblems") must hold for whatever
+    // this worker mines next.
     frame.kept.clear();
     bool stopped = false;
     for (uint32_t r : frame.touched) {
-      if (!stopped && ShouldStop()) stopped = true;
-      if (stopped) {
-        frame.runs_by_rank[r].clear();
-        continue;
+      std::vector<TsRun>& runs = frame.runs_by_rank[r];
+      size_t support = 0;
+      for (const TsRun& run : runs) support += run.size;
+      if (support < min_support_) {
+        ++result_->stats.support_pruned;
+      } else if (!stopped) {
+        stopped = ShouldStop();
+        if (!stopped) {
+          MergeSortedRuns(runs.data(), runs.size(), &frame.acc[r],
+                          &scratch_->merge, &scratch_->counters);
+          if (PassesGate(frame.acc[r])) frame.kept.push_back(r);
+        }
       }
-      MergeSortedRuns(frame.runs_by_rank[r].data(),
-                      frame.runs_by_rank[r].size(), &frame.acc[r],
-                      &scratch_->merge, &scratch_->counters);
-      frame.runs_by_rank[r].clear();
-      if (PassesGate(frame.acc[r])) frame.kept.push_back(r);
+      runs.clear();
     }
     if (stopped || frame.kept.empty()) {
       for (uint32_t r : frame.touched) frame.acc[r].clear();
@@ -432,6 +480,7 @@ class Miner {
   const RpGrowthOptions& options_;
   RpGrowthResult* result_;
   MinerScratch* scratch_;
+  const uint64_t min_support_;  ///< MinSupport(params_): the count rule.
   BudgetCheckpointer checkpoint_;
   size_t depth_ = 0;  ///< Current recursion depth == frame index.
   // Per-subproblem governance state (reset by BeginSubproblem):
@@ -456,19 +505,37 @@ void FoldScratchStats(const MinerScratch& scratch, RpGrowthStats* stats) {
   stats->scratch_bytes_peak = std::max(stats->scratch_bytes_peak, bytes);
 }
 
+/// |TS^item| of top-level `rank`: the rank's nodes' lists partition it.
+size_t RankSupport(const TsPrefixTree& tree, size_t rank) {
+  size_t support = 0;
+  for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+    support += tree.ListLength(n);
+  }
+  return support;
+}
+
 /// Sequential top-level loop (Algorithm 4's outer loop) with per-
 /// subproblem commit/rollback: a subproblem the budget hard-stops — or
 /// that would push the committed total past the max-patterns cap — is
 /// rolled out of the result wholesale and mining ends, so the result is
 /// always the complete patterns of a contiguous bottom-up prefix of
 /// suffix subproblems. Without a budget this degenerates to the plain
-/// loop (headroom infinite, checkpoints a single branch).
-void MineSequentialTopLevel(const TsPrefixTree& tree, Miner* miner,
-                            QueryBudget* budget, RpGrowthResult* result) {
+/// loop (headroom infinite, checkpoints a single branch). A rank whose
+/// |TS^item| is below MinSupport is skipped unwalked, as the count rule
+/// skips a TS^{beta+i}; only a tree built at looser params has one.
+void MineSequentialTopLevel(const TsPrefixTree& tree, const RpParams& params,
+                            Miner* miner, QueryBudget* budget,
+                            RpGrowthResult* result) {
   const uint64_t cap = budget != nullptr ? budget->limits().max_patterns : 0;
+  const uint64_t min_support = MinSupport(params);
   uint64_t committed = 0;
   for (size_t rank = tree.num_ranks(); rank-- > 0;) {
-    if (tree.RankBegin(rank) == tree.RankEnd(rank)) continue;
+    const size_t support = RankSupport(tree, rank);
+    if (support == 0) continue;
+    if (support < min_support) {
+      ++result->stats.support_pruned;
+      continue;
+    }
     const size_t patterns_mark = result->patterns.size();
     const size_t emitted_mark = result->stats.patterns_emitted;
     const uint64_t headroom =
@@ -507,16 +574,19 @@ void MineSequentialTopLevel(const TsPrefixTree& tree, Miner* miner,
 void MineParallel(const TsPrefixTree& tree, const RpParams& params,
                   const RpGrowthOptions& options, size_t threads,
                   RpGrowthResult* result) {
-  // Subproblems: every rank holding timestamps, bottom-up. A rank's
-  // weight is the total length of its nodes' lists, |TS^item|.
+  // Subproblems: every rank holding at least MinSupport timestamps,
+  // bottom-up (the sequential loop's skip rule). A rank's weight is
+  // |TS^item|.
+  const uint64_t min_support = MinSupport(params);
   std::vector<uint32_t> ranks;
   std::vector<size_t> weight;
   for (size_t rank = tree.num_ranks(); rank-- > 0;) {
-    size_t w = 0;
-    for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
-      w += tree.ListLength(n);
-    }
+    const size_t w = RankSupport(tree, rank);
     if (w == 0) continue;
+    if (w < min_support) {
+      ++result->stats.support_pruned;
+      continue;
+    }
     ranks.push_back(static_cast<uint32_t>(rank));
     weight.push_back(w);
   }
@@ -620,6 +690,7 @@ void MineParallel(const TsPrefixTree& tree, const RpParams& params,
   for (const Subproblem& sub : subs) {
     result->stats.conditional_trees += sub.local.stats.conditional_trees;
     result->stats.patterns_examined += sub.local.stats.patterns_examined;
+    result->stats.support_pruned += sub.local.stats.support_pruned;
   }
   for (size_t w = 0; w < scratches.size(); ++w) {
     result->stats.mine_cpu_seconds += busy_seconds[w];
@@ -656,7 +727,7 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
     }
   } else {
     std::vector<RpListEntry> entries = prepared.list.entries();
-    const uint64_t min_support = params.min_ps * params.min_rec;
+    const uint64_t min_support = MinSupport(params);
     std::erase_if(entries, [&](const RpListEntry& e) {
       return e.support < min_support;
     });
@@ -750,7 +821,7 @@ RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
   if (threads <= 1) {
     MinerScratch scratch;
     Miner miner(params, options, &result, &scratch);
-    MineSequentialTopLevel(tree, &miner, budget, &result);
+    MineSequentialTopLevel(tree, params, &miner, budget, &result);
     FoldScratchStats(scratch, &result.stats);
     result.stats.mine_seconds = phase.ElapsedSeconds();
     result.stats.mine_cpu_seconds = result.stats.mine_seconds;

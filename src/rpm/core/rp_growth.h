@@ -97,6 +97,13 @@ struct RpGrowthStats {
   // the data and params, never on the worker schedule.
   size_t gate_lists_scanned = 0;    ///< Gate / interval scans performed.
   size_t gate_gaps_scanned = 0;     ///< Timestamp gaps evaluated in scans.
+  /// TS-lists skipped by the count-first rule: TS^{beta+i} lists, and
+  /// top-level TS^item lists of a tree built at looser params, whose
+  /// length is below MinSupport(params), so no order of theirs could
+  /// pass the gate. Each would otherwise have cost one merge and, in the
+  /// exact model, one gate scan. Schedule-invariant, like the counters
+  /// above.
+  size_t support_pruned = 0;
   /// Peak bytes retained by the miner scratch pools (frames with their
   /// sorted-path slabs and accumulators, run descriptors, merge and mask
   /// buffers). Sequential: the single pool's high-water mark; parallel:

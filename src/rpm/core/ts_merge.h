@@ -8,8 +8,12 @@
 // maintained all along. The miner merges in three places: TS^beta of a
 // top-level rank (its nodes' ranges), each pattern-base path's list
 // before it enters a conditional tree (sorted once, so every list a
-// conditional tree receives is one run), and TS^{beta+i} for every item
-// of a pattern base (one sorted run per path containing i). This kernel
+// conditional tree receives is one run), and TS^{beta+i} for an item of
+// a pattern base (one sorted run per path containing i). Only lists of
+// at least minPS * minRec timestamps are merged: the miner first sums the
+// lengths of a TS^{beta+i}'s runs (or of a top-level rank's node lists),
+// and drops a shorter list, which no order could make pass the gate,
+// unmerged (support_pruned). This kernel
 // exploits the run structure: split every contribution into its maximal
 // sorted runs (AppendSortedRuns — O(n), one run for an already-sorted
 // list) and merge the runs (MergeSortedRuns — adaptive two-run fast path,

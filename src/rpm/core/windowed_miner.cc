@@ -360,6 +360,7 @@ void WindowedMiner::FoldMiningStats(const RpGrowthStats& s) {
   mining_stats_.timestamps_merged += s.timestamps_merged;
   mining_stats_.gate_lists_scanned += s.gate_lists_scanned;
   mining_stats_.gate_gaps_scanned += s.gate_gaps_scanned;
+  mining_stats_.support_pruned += s.support_pruned;
   mining_stats_.scratch_bytes_peak =
       std::max(mining_stats_.scratch_bytes_peak, s.scratch_bytes_peak);
   mining_stats_.scratch_bytes_total =

@@ -151,7 +151,8 @@ void PrintMineSummary(const Query& query, const QueryResult& result,
       << result.stats.scratch_bytes_peak << " B / total "
       << result.stats.scratch_bytes_total << " B]";
   err << " [gate scan " << result.stats.gate_lists_scanned << " lists / "
-      << result.stats.gate_gaps_scanned << " gaps]";
+      << result.stats.gate_gaps_scanned << " gaps / "
+      << result.stats.support_pruned << " pruned]";
   if (result.tree_reused) err << " [tree reused]";
   if (result.backend == "windowed") {
     err << " [windowed " << result.windowed.deltas_applied << " deltas / "
@@ -313,7 +314,8 @@ int CmdMine(Invocation& cmd) {
               "--stats conflicts with --output-format=" + output_format +
               ": the per-pattern stats print as text only");
         }
-        return exec.Check();
+        RPM_RETURN_NOT_OK(exec.Check());
+        return queries.empty() ? mining.RequireMinPs() : Status::OK();
       })) {
     return code;
   }

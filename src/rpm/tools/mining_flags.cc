@@ -73,6 +73,15 @@ Result<engine::Query> MiningQueryFlags::ToQuery(size_t db_size) const {
   return query;
 }
 
+Status MiningQueryFlags::RequireMinPs() const {
+  if (min_ps == 0 && min_ps_pct < 0.0) {
+    return Status::InvalidArgument(
+        "a query needs --min-ps (>= 1) or --min-ps-pct: without a minPS "
+        "every itemset is a candidate");
+  }
+  return Status::OK();
+}
+
 void ExecFlags::Register(FlagParser* parser) {
   parser->AddUint64("threads", threads,
                     "mining worker threads (0 = one per hardware thread, "
@@ -96,6 +105,7 @@ Status ExecFlags::Check() const {
 Result<ParsedQueryLine> ResolveQuery(const MiningQueryFlags& mining,
                                      const ExecFlags& exec, size_t db_size) {
   RPM_RETURN_NOT_OK(exec.Check());
+  RPM_RETURN_NOT_OK(mining.RequireMinPs());
   ParsedQueryLine parsed;
   RPM_ASSIGN_OR_RETURN(parsed.query, mining.ToQuery(db_size));
   parsed.backend = exec.threads == 1 ? engine::BackendKind::kSequential

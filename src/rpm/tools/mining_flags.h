@@ -27,7 +27,7 @@ namespace rpm::tools {
 /// rules stay shared either way.
 struct MiningQueryFlags {
   int64_t per = 1;           ///< --per
-  uint64_t min_ps = 0;       ///< --min-ps (0 resolves to 1)
+  uint64_t min_ps = 0;       ///< --min-ps (0 = unset; ToQuery resolves 1)
   double min_ps_pct = -1.0;  ///< --min-ps-pct (>= 0 overrides --min-ps)
   uint64_t min_rec = 1;      ///< --min-rec
   uint64_t tolerance = 0;    ///< --tolerance
@@ -61,6 +61,13 @@ struct MiningQueryFlags {
   /// query's params.min_rec is the flag value even when top_k > 0 (the
   /// descent overrides it, matching `rpminer mine`).
   Result<engine::Query> ToQuery(size_t db_size) const;
+
+  /// InvalidArgument naming both flags unless --min-ps (>= 1) or
+  /// --min-ps-pct is given. Without a minPS every itemset of a real
+  /// dataset is a candidate and the mine grows until memory runs out, so
+  /// `mine` and the --queries lines require one (ResolveQuery); compare
+  /// and verify keep ToQuery's default of 1.
+  Status RequireMinPs() const;
 };
 
 /// --backend and --threads, as `mine` and every --queries line take them.
@@ -83,8 +90,9 @@ struct ParsedQueryLine {
 };
 
 /// Resolves parsed query flags, for the `mine` command line and every
-/// --queries line alike: ExecFlags::Check, MiningQueryFlags::ToQuery, and
-/// --backend, or by default sequential at --threads=1 and else parallel.
+/// --queries line alike: ExecFlags::Check, MiningQueryFlags::RequireMinPs,
+/// MiningQueryFlags::ToQuery, and --backend, or by default sequential at
+/// --threads=1 and else parallel.
 Result<ParsedQueryLine> ResolveQuery(const MiningQueryFlags& mining,
                                      const ExecFlags& exec, size_t db_size);
 

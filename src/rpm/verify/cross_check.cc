@@ -151,6 +151,8 @@ void CompareInvariantStats(const RpGrowthStats& got,
               want.gate_lists_scanned, out, got_name, want_name);
   CompareStat("gate_gaps_scanned", got.gate_gaps_scanned,
               want.gate_gaps_scanned, out, got_name, want_name);
+  CompareStat("support_pruned", got.support_pruned, want.support_pruned,
+              out, got_name, want_name);
 }
 
 /// Check (e): the break-mask walk against the fused scalar loops, per

@@ -35,6 +35,20 @@ TEST(MineByDefinitionTest, MinRecOneIncludesC) {
   EXPECT_TRUE(has_c);
 }
 
+TEST(MineVerticalTest, HugeMinPsSupportGateRejectsEveryItem) {
+  // min_ps * min_rec wraps to 0 unless the gate saturates; then every
+  // itemset would pass the support-only gate and be explored.
+  RpParams params = PaperExampleParams();
+  params.min_ps = uint64_t{1} << 63;
+  params.min_rec = 2;
+  VerticalMinerOptions options;
+  options.use_candidate_pruning = false;
+  const VerticalMinerResult result =
+      MineVertical(PaperExampleDb(), params, options);
+  EXPECT_TRUE(result.patterns.empty());
+  EXPECT_EQ(result.nodes_explored, 7u);  // One rejected column per item.
+}
+
 TEST(MineVerticalTest, MatchesDefinitionalOnPaperExample) {
   VerticalMinerResult vertical =
       MineVertical(PaperExampleDb(), PaperExampleParams());

@@ -19,9 +19,19 @@ namespace rpm::tools {
 namespace {
 
 /// Writes the paper's running example to a temp file; returns the path.
+/// A temp-file path unique to the running test: ctest runs each test in
+/// its own process, concurrently, so a shared name lets one test delete
+/// another's input.
+std::string TestTempPath(const std::string& suffix) {
+  std::string path = ::testing::TempDir();
+  path += "/rpminer_cli_";
+  path += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  path += suffix;
+  return path;
+}
+
 std::string WritePaperExampleFile() {
-  std::string path =
-      ::testing::TempDir() + "/rpminer_cli_example.tspmf";
+  std::string path = TestTempPath("_example.tspmf");
   std::ofstream out(path);
   WriteTimestampedSpmf(rpm::testing::PaperExampleDb(), &out);
   return path;
@@ -29,7 +39,7 @@ std::string WritePaperExampleFile() {
 
 /// Writes a --queries file; returns the path.
 std::string WriteQueriesFile(const std::string& contents) {
-  std::string path = ::testing::TempDir() + "/rpminer_cli_queries.txt";
+  std::string path = TestTempPath("_queries.txt");
   std::ofstream out(path);
   out << contents;
   return path;
@@ -127,6 +137,10 @@ TEST(CliTest, ConflictingFlagsAreUsageErrorsNamingBothFlags) {
         "--window=10"},
        "--threads",
        "--backend"},
+      // Not a conflict but a missing threshold, rejected the same way.
+      {{"mine", "--input=/no/such/file", "--per=2", "--min-rec=2"},
+       "--min-ps ",
+       "--min-ps-pct"},
       {{"verify", "--fault-ppm=10"}, "--fault-ppm", "--faults"},
       {{"verify", "--faults=5", "--cases=3"}, "--faults", "--cases"},
       {{"verify", "--faults=5", "--no-oracle"}, "--faults", "--no-oracle"},
@@ -599,6 +613,23 @@ TEST(CliTest, MineQueriesRejectsEmptyFileAndBadBackendModel) {
   std::remove(path.c_str());
   std::remove(empty.c_str());
   std::remove(tolerant.c_str());
+}
+
+TEST(CliTest, MineQueriesRejectsALineWithoutMinPs) {
+  std::string path = WritePaperExampleFile();
+  std::string queries = WriteQueriesFile(
+      "--per=2 --min-ps=3 --min-rec=2\n"
+      "--per=2 --min-rec=2\n");
+  std::string out, err;
+  EXPECT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--queries",
+                    queries.c_str()},
+                   &out, &err),
+            2);
+  EXPECT_NE(err.find("--queries line 2: a query needs --min-ps"),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
+  std::remove(queries.c_str());
 }
 
 TEST(CliTest, MineQueriesRejectsRemovedStreamingBackend) {

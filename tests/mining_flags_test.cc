@@ -173,7 +173,17 @@ TEST(ParseMiningQueryTest, ParsesThresholdsBackendAndThreads) {
 }
 
 TEST(ParseMiningQueryTest, DefaultsMatchTheMineSubcommand) {
-  Result<ParsedQueryLine> line = ParseMiningQuery("--per=2", 100);
+  // Like `mine`, a line must name a minPS: without one every itemset of a
+  // real dataset is a candidate.
+  Result<ParsedQueryLine> bare = ParseMiningQuery("--per=2", 100);
+  ASSERT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.status().IsInvalidArgument()) << bare.status().ToString();
+  EXPECT_NE(bare.status().message().find("--min-ps "), std::string::npos)
+      << bare.status().ToString();
+  EXPECT_NE(bare.status().message().find("--min-ps-pct"), std::string::npos)
+      << bare.status().ToString();
+
+  Result<ParsedQueryLine> line = ParseMiningQuery("--per=2 --min-ps=1", 100);
   ASSERT_TRUE(line.ok());
   EXPECT_EQ(line->query.params.min_ps, 1u);
   EXPECT_EQ(line->query.params.min_rec, 1u);
@@ -183,13 +193,15 @@ TEST(ParseMiningQueryTest, DefaultsMatchTheMineSubcommand) {
 
 TEST(ParseMiningQueryTest, ThreadsPickTheBackendLikeTheMineCommandLine) {
   // `mine --threads=4` runs the parallel backend; so does the same line.
-  Result<ParsedQueryLine> line = ParseMiningQuery("--per=2 --threads=4", 100);
+  Result<ParsedQueryLine> line =
+      ParseMiningQuery("--per=2 --min-ps=1 --threads=4", 100);
   ASSERT_TRUE(line.ok()) << line.status().ToString();
   EXPECT_EQ(line->backend, engine::BackendKind::kParallel);
   EXPECT_EQ(line->threads, 4u);
 
   MiningQueryFlags mining;
   mining.per = 2;
+  mining.min_ps = 1;
   ExecFlags exec;
   exec.threads = 4;
   Result<ParsedQueryLine> command_line = ResolveQuery(mining, exec, 100);
@@ -209,10 +221,12 @@ TEST(ParseMiningQueryTest, RejectsAThreadCountTheBackendIgnores) {
     EXPECT_NE(line.status().message().find("--backend="), std::string::npos)
         << line.status().ToString();
   }
-  EXPECT_TRUE(
-      ParseMiningQuery("--per=2 --threads=1 --backend=sequential", 100).ok());
-  EXPECT_TRUE(
-      ParseMiningQuery("--per=2 --threads=0 --backend=parallel", 100).ok());
+  EXPECT_TRUE(ParseMiningQuery(
+                  "--per=2 --min-ps=1 --threads=1 --backend=sequential", 100)
+                  .ok());
+  EXPECT_TRUE(ParseMiningQuery(
+                  "--per=2 --min-ps=1 --threads=0 --backend=parallel", 100)
+                  .ok());
 }
 
 TEST(ParseMiningQueryTest, SharesTheMinPsPctResolution) {

@@ -1,5 +1,7 @@
 #include "rpm/core/mining_params.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace rpm {
@@ -27,6 +29,18 @@ TEST(RpParamsTest, RejectsZeroMinRec) {
   RpParams p;
   p.min_rec = 0;
   EXPECT_TRUE(p.Validate().IsInvalidArgument());
+}
+
+TEST(RpParamsTest, MinSupportIsTheProductAndSaturates) {
+  RpParams p;
+  p.min_ps = 100;
+  p.min_rec = 3;
+  EXPECT_EQ(MinSupport(p), 300u);
+  p.min_ps = uint64_t{1} << 63;
+  p.min_rec = 2;  // The plain product wraps to 0.
+  EXPECT_EQ(MinSupport(p), std::numeric_limits<uint64_t>::max());
+  p.min_rec = 1;
+  EXPECT_EQ(MinSupport(p), uint64_t{1} << 63);
 }
 
 TEST(RpParamsTest, ToStringListsThresholds) {

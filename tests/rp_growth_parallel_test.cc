@@ -75,6 +75,8 @@ void ExpectMatchesSequential(const TransactionDatabase& db,
   EXPECT_EQ(parallel.stats.gate_gaps_scanned,
             sequential.stats.gate_gaps_scanned)
       << "threads=" << threads;
+  EXPECT_EQ(parallel.stats.support_pruned, sequential.stats.support_pruned)
+      << "threads=" << threads;
 }
 
 TEST(RpGrowthParallelTest, PaperExampleAllThreadCounts) {
