@@ -132,10 +132,10 @@ inline std::string JsonEscape(const std::string& s) {
 /// {"bench": <name>, "scale": <s>, "hardware_concurrency": <hw>,
 ///  "git_commit": <build commit>, "generated_at": <ISO UTC>,
 ///  "records": [{...}, ...]}.
-/// The host fields make snapshots self-describing: a diff tool can
-/// refuse to compare runs from machines with different core counts, and
-/// the provenance pair answers "which build produced this file, when"
-/// long after the run.
+/// The host fields make snapshots self-describing: a reader can tell
+/// runs from machines with different core counts apart, and the
+/// provenance pair answers "which build produced this file, when" long
+/// after the run.
 /// Values are rendered on Add, so records may mix field sets freely
 /// (they shouldn't — keep them uniform for easy loading).
 class JsonRecords {

@@ -21,11 +21,19 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
 
-  /// Expires `ms` milliseconds from now. ms <= 0 is already expired.
+  /// Expires `ms` milliseconds from now. ms <= 0 is already expired; a
+  /// deadline past the clock's range saturates to its last time point
+  /// (the clock counts nanoseconds, so 2^63 - 1 ms would overflow it).
   static Deadline AfterMillis(int64_t ms) {
     Deadline d;
     d.infinite_ = false;
-    d.when_ = Clock::now() + std::chrono::milliseconds(ms);
+    const Clock::time_point now = Clock::now();
+    const int64_t headroom_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now)
+            .count();
+    d.when_ = ms >= headroom_ms ? Clock::time_point::max()
+                                : now + std::chrono::milliseconds(ms);
     return d;
   }
 

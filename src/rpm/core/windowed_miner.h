@@ -81,8 +81,8 @@ struct WindowedMinerOptions {
 
 /// Cumulative maintenance counters. All schedule-invariant: a given
 /// stream and delta schedule produce identical values on every machine
-/// (sub-mines run single-threaded), which is what lets bench_compare
-/// treat any drift as correctness drift.
+/// (sub-mines run single-threaded), so any drift between runs is a
+/// correctness failure, not noise.
 struct WindowedCounters {
   uint64_t deltas_applied = 0;
   uint64_t timestamps_appended = 0;    ///< Column events accepted.

@@ -1,5 +1,7 @@
 #include "rpm/engine/query.h"
 
+#include <limits>
+
 namespace rpm::engine {
 
 Status Query::Validate() const {
@@ -22,6 +24,32 @@ Status Query::Validate() const {
         "delta requires a window (--window > 0 selects the sliding-window "
         "model)");
   }
+  return Status::OK();
+}
+
+Status SetOutsideLimits(const OutsideLimits& in, Query* query) {
+  constexpr uint64_t kBytesPerMb = uint64_t{1} << 20;
+  const struct {
+    const char* name;
+    uint64_t value;
+    uint64_t max;
+  } fields[] = {
+      {"tolerance", in.tolerance, std::numeric_limits<uint32_t>::max()},
+      {"timeout_ms", in.timeout_ms,
+       static_cast<uint64_t>(std::numeric_limits<int64_t>::max())},
+      {"max_memory_mb", in.max_memory_mb,
+       std::numeric_limits<uint64_t>::max() / kBytesPerMb},
+  };
+  for (const auto& field : fields) {
+    if (field.value > field.max) {
+      return Status::InvalidArgument(
+          std::string(field.name) + " " + std::to_string(field.value) +
+          " is out of range (at most " + std::to_string(field.max) + ")");
+    }
+  }
+  query->params.max_gap_violations = static_cast<uint32_t>(in.tolerance);
+  query->limits.timeout_ms = static_cast<int64_t>(in.timeout_ms);
+  query->limits.memory_budget_bytes = in.max_memory_mb * kBytesPerMb;
   return Status::OK();
 }
 

@@ -72,6 +72,21 @@ struct Query {
   std::string ToString() const;
 };
 
+/// The query fields that the command line and the serve protocol read as
+/// unsigned 64-bit numbers and must narrow or scale on the way in.
+struct OutsideLimits {
+  uint64_t tolerance = 0;      ///< Over-period gaps absorbed per interval.
+  uint64_t timeout_ms = 0;     ///< Wall-clock deadline; 0 = none.
+  uint64_t max_memory_mb = 0;  ///< Tracked-memory budget; 0 = unlimited.
+};
+
+/// Writes `in` into query->params.max_gap_violations and query->limits,
+/// or returns InvalidArgument naming the first field the query cannot
+/// hold: a tolerance above 2^32 - 1, a timeout above 2^63 - 1 ms, or a
+/// memory budget above 2^44 - 1 MB (its byte count would wrap to 0,
+/// which means unlimited). `query` is untouched on error.
+Status SetOutsideLimits(const OutsideLimits& in, Query* query);
+
 /// Uniform result of executing a Query on any backend.
 struct QueryResult {
   /// Mined patterns in canonical itemset order, after closed/maximal

@@ -9,8 +9,10 @@ namespace rpm::serve {
 
 namespace {
 
+/// Sets `request`'s query field `key`; tolerance, timeout_ms and
+/// max_memory_mb go to `outside`, range-checked once all fields are read.
 Status ApplyQueryField(const std::string& key, const JsonValue& value,
-                       Request* request) {
+                       Request* request, engine::OutsideLimits* outside) {
   engine::Query& q = request->query;
   if (key == "per") {
     RPM_ASSIGN_OR_RETURN(q.params.period, value.GetInt64(key));
@@ -19,9 +21,7 @@ Status ApplyQueryField(const std::string& key, const JsonValue& value,
   } else if (key == "min_rec") {
     RPM_ASSIGN_OR_RETURN(q.params.min_rec, value.GetUint64(key));
   } else if (key == "tolerance") {
-    uint64_t tolerance = 0;
-    RPM_ASSIGN_OR_RETURN(tolerance, value.GetUint64(key));
-    q.params.max_gap_violations = static_cast<uint32_t>(tolerance);
+    RPM_ASSIGN_OR_RETURN(outside->tolerance, value.GetUint64(key));
   } else if (key == "top_k") {
     RPM_ASSIGN_OR_RETURN(q.top_k, value.GetUint64(key));
   } else if (key == "max_length") {
@@ -31,13 +31,9 @@ Status ApplyQueryField(const std::string& key, const JsonValue& value,
   } else if (key == "maximal") {
     RPM_ASSIGN_OR_RETURN(q.maximal, value.GetBool(key));
   } else if (key == "timeout_ms") {
-    uint64_t timeout_ms = 0;
-    RPM_ASSIGN_OR_RETURN(timeout_ms, value.GetUint64(key));
-    q.limits.timeout_ms = static_cast<int64_t>(timeout_ms);
+    RPM_ASSIGN_OR_RETURN(outside->timeout_ms, value.GetUint64(key));
   } else if (key == "max_memory_mb") {
-    uint64_t mb = 0;
-    RPM_ASSIGN_OR_RETURN(mb, value.GetUint64(key));
-    q.limits.memory_budget_bytes = mb * 1024ull * 1024ull;
+    RPM_ASSIGN_OR_RETURN(outside->max_memory_mb, value.GetUint64(key));
   } else if (key == "max_patterns") {
     RPM_ASSIGN_OR_RETURN(q.limits.max_patterns, value.GetUint64(key));
   } else if (key == "window") {
@@ -94,6 +90,7 @@ Result<Request> ParseRequest(const std::string& line) {
     return Status::InvalidArgument("request must be a JSON object");
   }
   Request request;
+  engine::OutsideLimits outside;
   for (const auto& [key, value] : root.members) {
     if (key == "op") {
       RPM_ASSIGN_OR_RETURN(request.op, value.GetString(key));
@@ -111,7 +108,7 @@ Result<Request> ParseRequest(const std::string& line) {
     } else if (key == "format") {
       RPM_ASSIGN_OR_RETURN(request.format, value.GetString(key));
     } else {
-      RPM_RETURN_NOT_OK(ApplyQueryField(key, value, &request));
+      RPM_RETURN_NOT_OK(ApplyQueryField(key, value, &request, &outside));
     }
   }
 
@@ -124,6 +121,7 @@ Result<Request> ParseRequest(const std::string& line) {
     }
     // Mirror the CLI's minPS resolution: zero means "at least once".
     if (request.query.params.min_ps == 0) request.query.params.min_ps = 1;
+    RPM_RETURN_NOT_OK(engine::SetOutsideLimits(outside, &request.query));
     RPM_RETURN_NOT_OK(request.query.Validate());
     return request;
   }

@@ -1,9 +1,11 @@
 #include "rpm/serve/service.h"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <utility>
 
+#include "rpm/core/thread_pool.h"
 #include "rpm/engine/dataset_snapshot.h"
 #include "rpm/engine/executor.h"
 #include "rpm/serve/wire.h"
@@ -85,7 +87,7 @@ std::string QueryService::HandleQuery(const Request& request) {
   ResultCache::JoinOutcome join = cache_.Join(key);
   std::shared_ptr<const std::string> payload;
   const char* cache_state = "hit";
-  bool tree_reused = false;
+  Computed info;
   bool computed = false;
   if (join.cached != nullptr) {
     payload = join.cached;
@@ -93,9 +95,7 @@ std::string QueryService::HandleQuery(const Request& request) {
     cache_state = "miss";
     computed = true;
     FlightLease lease(&cache_, key, join.flight);
-    bool cacheable = false;
-    Result<std::string> fresh =
-        Execute(request, *dataset, query, &cacheable, &tree_reused);
+    Result<std::string> fresh = Execute(request, *dataset, query, &info);
     if (!fresh.ok()) {
       // Lease publishes "no result" on destruction; followers recompute.
       return ErrorResponse(request.id,
@@ -103,7 +103,7 @@ std::string QueryService::HandleQuery(const Request& request) {
                            fresh.status().message());
     }
     payload = std::make_shared<const std::string>(std::move(*fresh));
-    lease.Publish(payload, cacheable);
+    lease.Publish(payload, info.cacheable);
   } else {
     cache_state = "coalesced";
     payload = cache_.Wait(join.flight);
@@ -111,9 +111,7 @@ std::string QueryService::HandleQuery(const Request& request) {
       // The leader failed or its result was uncacheable (limit-truncated);
       // fall back to an independent run under OUR clamped limits.
       computed = true;
-      bool cacheable = false;
-      Result<std::string> fresh =
-          Execute(request, *dataset, query, &cacheable, &tree_reused);
+      Result<std::string> fresh = Execute(request, *dataset, query, &info);
       if (!fresh.ok()) {
         return ErrorResponse(request.id,
                              WireStatusName(fresh.status().code()),
@@ -131,7 +129,8 @@ std::string QueryService::HandleQuery(const Request& request) {
            engine::BackendName(request.backend) + "\"";
     if (computed) {
       meta += std::string(",\"tree_reused\":") +
-              (tree_reused ? "true" : "false");
+              (info.tree_reused ? "true" : "false") +
+              ",\"threads_used\":" + std::to_string(info.threads_used);
     }
   }
   return WrapResponse(request.id, *payload, meta);
@@ -139,17 +138,20 @@ std::string QueryService::HandleQuery(const Request& request) {
 
 Result<std::string> QueryService::Execute(
     const Request& request, const engine::RegisteredDataset& dataset,
-    const engine::Query& query, bool* cacheable_out,
-    bool* tree_reused_out) {
+    const engine::Query& query, Computed* out) {
+  // Results are identical at any thread count, so a client's count is
+  // only a request: capped at the hardware (0 already means that).
   engine::ExecOptions exec;
-  exec.threads = static_cast<size_t>(request.threads);
+  exec.threads = static_cast<size_t>(
+      std::min<uint64_t>(request.threads, ResolveThreadCount(0)));
   RPM_ASSIGN_OR_RETURN(engine::QueryResult result,
                        engine::GetExecutor(request.backend)
                            .Execute(*dataset.planner, query, exec));
-  *tree_reused_out = result.tree_reused;
+  out->tree_reused = result.tree_reused;
+  out->threads_used = result.stats.threads_used;
   // Only complete results are shared: a truncated or budget-stopped run
   // reflects THIS query's clamped limits, not the answer to the key.
-  *cacheable_out = result.status.ok() && !result.truncated;
+  out->cacheable = result.status.ok() && !result.truncated;
   return QueryPayload(result, dataset.snapshot->dictionary());
 }
 

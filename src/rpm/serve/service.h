@@ -68,12 +68,18 @@ class QueryService {
   std::string HandleSwap(const Request& request);
   std::string HandleList(const Request& request);
   std::string HandleStats(const Request& request);
-  /// Executes the (already admitted, already clamped) query and renders
-  /// its deterministic payload. `cacheable_out`: OK and untruncated.
+  /// What a computed reply reports besides its payload.
+  struct Computed {
+    bool cacheable = false;  ///< OK and untruncated.
+    bool tree_reused = false;
+    size_t threads_used = 1;
+  };
+  /// Executes the (already admitted, already clamped) query on at most
+  /// one worker per hardware thread, whatever the request asks, and
+  /// renders its deterministic payload.
   Result<std::string> Execute(const Request& request,
                               const engine::RegisteredDataset& dataset,
-                              const engine::Query& query,
-                              bool* cacheable_out, bool* tree_reused_out);
+                              const engine::Query& query, Computed* out);
 
   engine::SnapshotRegistry* registry_;
   TenantRegistry tenants_;

@@ -315,6 +315,7 @@ int CmdMine(Invocation& cmd) {
               ": the per-pattern stats print as text only");
         }
         RPM_RETURN_NOT_OK(exec.Check());
+        RPM_RETURN_NOT_OK(mining.CheckRanges());
         return queries.empty() ? mining.RequireMinPs() : Status::OK();
       })) {
     return code;
@@ -464,7 +465,9 @@ int CmdCompare(Invocation& cmd) {
                        &min_sup_pct);
   cmd.parser.AddUint64("max-pp", 500000,
                        "p-pattern enumeration cap (0 = unlimited)", &max_pp);
-  if (int code = cmd.Parse()) return code;
+  if (int code = cmd.Parse([&] { return mining.CheckRanges(); })) {
+    return code;
+  }
   const TransactionDatabase& db = cmd.snapshot->db();
 
   const uint64_t min_sup = std::max<uint64_t>(
@@ -627,7 +630,7 @@ int CmdVerify(Invocation& cmd) {
                 ": it pins --per/--min-ps/--min-rec/--tolerance only");
           }
         }
-        return Status::OK();
+        return mining.CheckRanges();
       })) {
     return code;
   }

@@ -48,7 +48,19 @@ void MiningQueryFlags::Register(FlagParser* parser) {
                     &delta);
 }
 
+Status MiningQueryFlags::CheckRanges() const {
+  // from_chars also parses "nan" and "inf"; both comparisons reject NaN.
+  if (min_ps_pct != -1.0 && !(min_ps_pct >= 0.0 && min_ps_pct <= 100.0)) {
+    return Status::InvalidArgument(
+        "--min-ps-pct must be a finite percentage in [0, 100]");
+  }
+  engine::Query unused;
+  return engine::SetOutsideLimits({tolerance, timeout_ms, max_memory_mb},
+                                  &unused);
+}
+
 Result<engine::Query> MiningQueryFlags::ToQuery(size_t db_size) const {
+  RPM_RETURN_NOT_OK(CheckRanges());
   engine::Query query;
   query.params.period = per;
   uint64_t resolved_min_ps = min_ps;
@@ -59,13 +71,12 @@ Result<engine::Query> MiningQueryFlags::ToQuery(size_t db_size) const {
   if (resolved_min_ps == 0) resolved_min_ps = 1;
   query.params.min_ps = resolved_min_ps;
   query.params.min_rec = min_rec;
-  query.params.max_gap_violations = static_cast<uint32_t>(tolerance);
   query.top_k = top_k;
   query.max_pattern_length = max_len;
   query.closed = closed;
   query.maximal = maximal;
-  query.limits.timeout_ms = static_cast<int64_t>(timeout_ms);
-  query.limits.memory_budget_bytes = max_memory_mb * 1024 * 1024;
+  RPM_RETURN_NOT_OK(engine::SetOutsideLimits(
+      {tolerance, timeout_ms, max_memory_mb}, &query));
   query.limits.max_patterns = max_patterns;
   query.window = window;
   query.delta = delta;

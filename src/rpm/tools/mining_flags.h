@@ -55,9 +55,17 @@ struct MiningQueryFlags {
   /// parser.Parse().
   void Register(FlagParser* parser);
 
+  /// InvalidArgument naming the flag when a value is outside what a query
+  /// can hold: --min-ps-pct must be a finite percentage in [0, 100] (or
+  /// its unset default, -1), and --tolerance, --timeout-ms and
+  /// --max-memory-mb must fit (engine::SetOutsideLimits). The commands
+  /// call it before reading any input; ToQuery calls it too.
+  Status CheckRanges() const;
+
   /// Resolves the (parsed) fields against a database of `db_size`
-  /// transactions: --min-ps-pct >= 0 sets minPS = ceil(pct/100 * db_size),
-  /// a zero minPS becomes 1, and the result is validated. The returned
+  /// transactions: CheckRanges, --min-ps-pct >= 0 sets minPS =
+  /// ceil(pct/100 * db_size), a zero minPS becomes 1, and the result is
+  /// validated. The returned
   /// query's params.min_rec is the flag value even when top_k > 0 (the
   /// descent overrides it, matching `rpminer mine`).
   Result<engine::Query> ToQuery(size_t db_size) const;

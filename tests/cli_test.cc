@@ -215,6 +215,34 @@ TEST(CliTest, MineRejectsUnknownOutputFormatBeforeReading) {
   EXPECT_TRUE(out.empty()) << out;
 }
 
+TEST(CliTest, OutOfRangeQueryFlagsAreUsageErrorsBeforeReading) {
+  // Each value once mined something else: NaN and 1e30 % at minPS 1, a
+  // 2^32 tolerance as the exact model, 2^44 MB as no memory budget.
+  for (const char* bad :
+       {"--min-ps-pct=nan", "--min-ps-pct=1e30", "--tolerance=4294967296",
+        "--max-memory-mb=17592186044416"}) {
+    std::string out, err;
+    EXPECT_EQ(RunCli({"rpminer", "mine", "--input=/no/such/file", "--per=2",
+                      "--min-ps=3", bad},
+                     &out, &err),
+              1)
+        << bad;
+    EXPECT_EQ(err.find("error:"), std::string::npos) << bad << ": " << err;
+    EXPECT_TRUE(out.empty()) << out;
+  }
+  std::string out, err;
+  EXPECT_EQ(RunCli({"rpminer", "compare", "--input=/no/such/file",
+                    "--min-ps-pct=inf"},
+                   &out, &err),
+            1)
+      << err;
+  EXPECT_EQ(RunCli({"rpminer", "verify", "--fixed-params",
+                    "--tolerance=4294967296"},
+                   &out, &err),
+            1)
+      << err;
+}
+
 TEST(CliTest, MineRejectsRemovedStreamingBackend) {
   std::string path = WritePaperExampleFile();
   std::string out, err;

@@ -25,6 +25,7 @@
 #include "rpm/engine/executor.h"
 #include "rpm/engine/query.h"
 #include "rpm/engine/query_planner.h"
+#include "rpm/gen/paper_datasets.h"
 #include "test_util.h"
 
 namespace rpm::engine {
@@ -320,36 +321,51 @@ TEST(ExecutorTest, PaperExampleThroughEveryBackend) {
 
 // --- Loose->strict reuse purity --------------------------------------------
 
+/// Serves a grid of strictly tighter parameter points (minPS + 0, 1, 2
+/// steps, minRec + 0, 1, 2) from one session whose only build is at
+/// `loose`. Each answer must match a fresh standalone run bit-for-bit.
+void ExpectLooseBuildServesStricterGrid(const TransactionDatabase& db,
+                                        const RpParams& loose,
+                                        uint64_t ps_step,
+                                        const std::string& label) {
+  QuerySession session(DatasetSnapshot::Create(db));
+  ASSERT_TRUE(session.Run(MakeQuery(loose)).ok());
+  for (uint64_t dps : {0u, 1u, 2u}) {
+    for (uint64_t drec : {0u, 1u, 2u}) {
+      RpParams strict = loose;
+      strict.min_ps += dps * ps_step;
+      strict.min_rec += drec;
+      Result<QueryResult> got = session.Run(MakeQuery(strict));
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->tree_reused)
+          << label << " +ps " << dps << " +rec " << drec;
+      EXPECT_EQ(got->session_tree_builds, 1u);
+      RpGrowthResult fresh = MineRecurringPatterns(db, strict);
+      EXPECT_EQ(got->patterns, fresh.patterns)
+          << label << " +ps " << dps << " +rec " << drec;
+    }
+  }
+  EXPECT_EQ(session.tree_builds(), 1u);
+}
+
 TEST(EngineReuseTest, LooseToStrictReuseIsBitIdenticalToFreshRuns) {
   for (uint64_t seed = 61; seed <= 64; ++seed) {
     RandomDbSpec spec;
     spec.num_items = 8;
     spec.num_timestamps = 120;
-    TransactionDatabase db = MakeRandomDb(spec, seed);
-    RpParams loose = PaperExampleParams();
-
-    QuerySession session(DatasetSnapshot::Create(db));
-    ASSERT_TRUE(session.Run(MakeQuery(loose)).ok());
-
-    // A grid of strictly-tighter parameter points, all served by the one
-    // loose build. Each must match a fresh standalone run bit-for-bit.
-    for (uint64_t dps : {0u, 1u, 2u}) {
-      for (uint64_t drec : {0u, 1u, 2u}) {
-        RpParams strict = loose;
-        strict.min_ps += dps;
-        strict.min_rec += drec;
-        Result<QueryResult> got = session.Run(MakeQuery(strict));
-        ASSERT_TRUE(got.ok());
-        EXPECT_TRUE(got->tree_reused)
-            << "seed " << seed << " +ps " << dps << " +rec " << drec;
-        EXPECT_EQ(got->session_tree_builds, 1u);
-        RpGrowthResult fresh = MineRecurringPatterns(db, strict);
-        EXPECT_EQ(got->patterns, fresh.patterns)
-            << "seed " << seed << " +ps " << dps << " +rec " << drec;
-      }
-    }
-    EXPECT_EQ(session.tree_builds(), 1u);
+    ExpectLooseBuildServesStricterGrid(MakeRandomDb(spec, seed),
+                                       PaperExampleParams(), /*ps_step=*/1,
+                                       "seed " + std::to_string(seed));
   }
+  // The hashtag-stream family: a Zipf tag universe with planted events,
+  // where the loose build holds many ranks the strict points never mine.
+  RpParams twitter_loose;
+  twitter_loose.period = 60;
+  twitter_loose.min_ps = 25;
+  twitter_loose.min_rec = 1;
+  ExpectLooseBuildServesStricterGrid(gen::MakeTwitter(0.01, 88).db,
+                                     twitter_loose, /*ps_step=*/15,
+                                     "twitter-mini");
 }
 
 TEST(EngineReuseTest, ReuseUnderToleranceIsBitIdentical) {
@@ -393,32 +409,43 @@ TEST(EngineReuseTest, ClosedAndMaximalFiltersApplyAfterReuse) {
 
 // --- Top-k through the engine ----------------------------------------------
 
+/// A top-k query through a session must equal the core top-k miner, and
+/// every descent round (and a repeat query) must mine one floor build.
+void ExpectTopKMatchesCoreOnOneBuild(const TransactionDatabase& db,
+                                     Timestamp period, uint64_t min_ps,
+                                     uint64_t k, const std::string& label) {
+  TopKResult core = MineTopKByRecurrence(db, period, min_ps, k);
+
+  QuerySession session(DatasetSnapshot::Create(db));
+  Query q;
+  q.params.period = period;
+  q.params.min_ps = min_ps;
+  q.top_k = k;
+  Result<QueryResult> got = session.Run(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->patterns, core.patterns) << label;
+  EXPECT_EQ(got->top_k_final_min_rec, core.final_min_rec) << label;
+  // Every descent round mined the single floor-threshold build — one
+  // build regardless of round count.
+  EXPECT_EQ(session.tree_builds(), 1u);
+
+  // A second top-k query reuses the floor tree outright.
+  Result<QueryResult> again = session.Run(q);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->tree_reused);
+  EXPECT_EQ(again->patterns, core.patterns) << label;
+  EXPECT_EQ(session.tree_builds(), 1u);
+}
+
 TEST(EngineTopKTest, MatchesCoreTopKAndReusesFloorTree) {
   for (uint64_t seed = 81; seed <= 83; ++seed) {
-    TransactionDatabase db = MakeRandomDb(RandomDbSpec{}, seed);
-    TopKResult core = MineTopKByRecurrence(db, /*period=*/2, /*min_ps=*/3,
-                                           /*k=*/5);
-
-    QuerySession session(DatasetSnapshot::Create(db));
-    Query q;
-    q.params.period = 2;
-    q.params.min_ps = 3;
-    q.top_k = 5;
-    Result<QueryResult> got = session.Run(q);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->patterns, core.patterns) << "seed " << seed;
-    EXPECT_EQ(got->top_k_final_min_rec, core.final_min_rec) << "seed " << seed;
-    // Every descent round mined the single floor-threshold build — one
-    // build regardless of round count.
-    EXPECT_EQ(session.tree_builds(), 1u);
-
-    // A second top-k query reuses the floor tree outright.
-    Result<QueryResult> again = session.Run(q);
-    ASSERT_TRUE(again.ok());
-    EXPECT_TRUE(again->tree_reused);
-    EXPECT_EQ(again->patterns, core.patterns);
-    EXPECT_EQ(session.tree_builds(), 1u);
+    ExpectTopKMatchesCoreOnOneBuild(MakeRandomDb(RandomDbSpec{}, seed),
+                                    /*period=*/2, /*min_ps=*/3, /*k=*/5,
+                                    "seed " + std::to_string(seed));
   }
+  ExpectTopKMatchesCoreOnOneBuild(gen::MakeTwitter(0.01, 88).db,
+                                  /*period=*/60, /*min_ps=*/25, /*k=*/10,
+                                  "twitter-mini");
 }
 
 TEST(EngineTopKTest, FloorTreeAlsoServesPlainQueries) {
@@ -454,6 +481,31 @@ TEST(EngineTopKTest, EmptyDatabaseShortCircuits) {
 }
 
 // --- Query validation and sinks --------------------------------------------
+
+TEST(EngineQueryTest, SetOutsideLimitsRejectsWhatTheQueryCannotHold) {
+  constexpr uint64_t kMaxMb = std::numeric_limits<uint64_t>::max() >> 20;
+  const OutsideLimits fits{std::numeric_limits<uint32_t>::max(),
+                           std::numeric_limits<int64_t>::max(), kMaxMb};
+  Query q;
+  ASSERT_TRUE(SetOutsideLimits(fits, &q).ok());
+  EXPECT_EQ(q.params.max_gap_violations, std::numeric_limits<uint32_t>::max());
+  EXPECT_EQ(q.limits.timeout_ms, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(q.limits.memory_budget_bytes, kMaxMb << 20);
+
+  OutsideLimits tolerance = fits;
+  ++tolerance.tolerance;
+  OutsideLimits timeout = fits;
+  ++timeout.timeout_ms;
+  OutsideLimits memory = fits;
+  ++memory.max_memory_mb;
+  for (const OutsideLimits& bad : {tolerance, timeout, memory}) {
+    Query untouched;
+    Status s = SetOutsideLimits(bad, &untouched);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_TRUE(untouched.limits.unlimited());
+    EXPECT_EQ(untouched.params.max_gap_violations, 0u);
+  }
+}
 
 TEST(EngineQueryTest, ValidateRejectsIncoherentCombinations) {
   Query q = MakeQuery(PaperExampleParams());

@@ -5,11 +5,14 @@
 // committed prefix on every backend and every run.
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rpm/common/deadline.h"
 #include "rpm/core/cancellation.h"
 #include "rpm/engine/session.h"
 #include "rpm/verify/fault_injection.h"
@@ -149,6 +152,26 @@ TEST(GovernanceTest, DeadlineViaClockFaultStopsEveryBackend) {
     for (const RecurringPattern& p : result.patterns) {
       EXPECT_TRUE(ContainsPattern(full.patterns, p)) << p.ToString();
     }
+  }
+}
+
+TEST(GovernanceTest, FarDeadlineSaturatesInsteadOfExpiring) {
+  // 10^13 ms (317 years) and 2^63 - 1 ms overflow the clock's nanosecond
+  // count; both must mean "not yet", never "already expired".
+  for (int64_t ms : {int64_t{10'000'000'000'000},
+                     std::numeric_limits<int64_t>::max()}) {
+    const Deadline deadline = Deadline::AfterMillis(ms);
+    EXPECT_FALSE(deadline.Expired()) << ms;
+    EXPECT_GT(deadline.RemainingMillis(), 0) << ms;
+  }
+  Query query;
+  query.params = testing::PaperExampleParams();
+  query.limits.timeout_ms = std::numeric_limits<int64_t>::max();
+  QuerySession session(DatasetSnapshot::Create(testing::PaperExampleDb()));
+  for (BackendKind backend : kAllBackends) {
+    QueryResult result = RunOrDie(session, query, backend);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.patterns, testing::PaperExamplePatterns());
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,51 @@ TEST(MiningFlagsTest, MinPsPctResolvesAgainstDatabaseSizeCeil) {
             5u);
   // Tiny fractions still resolve to at least 1.
   EXPECT_EQ(ParseOrDie({"--min-ps-pct=0.001"}, 50).params.min_ps, 1u);
+}
+
+/// The error for `flag_tokens`, which must parse but hold a value out of
+/// range: CheckRanges (run before any input is read) and ToQuery both
+/// refuse them.
+Status RangeError(const std::vector<std::string>& flag_tokens) {
+  MiningQueryFlags flags;
+  FlagParser parser("test", "mining flag test");
+  flags.Register(&parser);
+  Status parsed = ParseTokens(&parser, flag_tokens);
+  EXPECT_TRUE(parsed.ok()) << parsed.ToString();
+  EXPECT_FALSE(flags.ToQuery(/*db_size=*/100).ok());
+  return flags.CheckRanges();
+}
+
+TEST(MiningFlagsTest, MinPsPctMustBeAFinitePercentage) {
+  // NaN fails both the ">= 0" and the "< 0" test, and 1e30 % of the
+  // database overflows the cast to uint64_t: either would mine at minPS 1.
+  for (const char* bad : {"--min-ps-pct=nan", "--min-ps-pct=inf",
+                          "--min-ps-pct=-inf", "--min-ps-pct=1e30",
+                          "--min-ps-pct=100.5", "--min-ps-pct=-5"}) {
+    Status s = RangeError({"--per=2", bad});
+    EXPECT_TRUE(s.IsInvalidArgument()) << bad << ": " << s.ToString();
+    EXPECT_NE(s.message().find("--min-ps-pct"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(ParseOrDie({"--min-ps-pct=0"}, 50).params.min_ps, 1u);
+  EXPECT_EQ(ParseOrDie({"--min-ps-pct=100"}, 50).params.min_ps, 50u);
+}
+
+TEST(MiningFlagsTest, LimitsTheQueryCannotHoldAreRejected) {
+  // (--timeout-ms above 2^63 - 1 already fails to parse.)
+  for (const char* bad :
+       {"--tolerance=4294967296", "--max-memory-mb=17592186044416"}) {
+    Status s = RangeError({"--per=2", "--min-ps=2", bad});
+    EXPECT_TRUE(s.IsInvalidArgument()) << bad << ": " << s.ToString();
+    EXPECT_NE(s.message().find("out of range"), std::string::npos) << bad;
+  }
+  // The largest values that fit pass through unchanged.
+  engine::Query q = ParseOrDie(
+      {"--per=2", "--tolerance=4294967295",
+       "--timeout-ms=9223372036854775807", "--max-memory-mb=17592186044415"},
+      /*db_size=*/100);
+  EXPECT_EQ(q.params.max_gap_violations, 4294967295u);
+  EXPECT_EQ(q.limits.timeout_ms, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(q.limits.memory_budget_bytes, 17592186044415ull << 20);
 }
 
 TEST(MiningFlagsTest, ToQueryValidates) {

@@ -18,6 +18,8 @@
 namespace rpm {
 namespace {
 
+using ::rpm::testing::DenseBurstDb;
+using ::rpm::testing::DenseBurstParams;
 using ::rpm::testing::PaperExampleDb;
 using ::rpm::testing::PaperExampleParams;
 
@@ -161,6 +163,16 @@ TEST(RpGrowthParallelTest, HashtagMini) {
   EXPECT_GT(sequential.patterns.size(), 0u);
   for (size_t threads : kThreadCounts) {
     ExpectMatchesSequential(twitter.db, params, sequential, threads);
+  }
+}
+
+TEST(RpGrowthParallelTest, DenseBurstMatchesSequential) {
+  const TransactionDatabase db = DenseBurstDb();
+  const RpParams params = DenseBurstParams(db);
+  RpGrowthResult sequential = MineRecurringPatterns(db, params);
+  ASSERT_GT(sequential.patterns.size(), 0u);
+  for (size_t threads : kThreadCounts) {
+    ExpectMatchesSequential(db, params, sequential, threads);
   }
 }
 

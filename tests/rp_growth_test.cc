@@ -1,7 +1,6 @@
 #include "rpm/core/rp_growth.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -11,7 +10,6 @@
 
 #include "rpm/core/brute_force.h"
 #include "rpm/core/cancellation.h"
-#include "rpm/gen/hashtag_generator.h"
 #include "rpm/gen/paper_datasets.h"
 #include "test_util.h"
 
@@ -22,6 +20,8 @@ using ::rpm::testing::A;
 using ::rpm::testing::B;
 using ::rpm::testing::C;
 using ::rpm::testing::D;
+using ::rpm::testing::DenseBurstDb;
+using ::rpm::testing::DenseBurstParams;
 using ::rpm::testing::G;
 using ::rpm::testing::PaperExampleDb;
 using ::rpm::testing::PaperExampleParams;
@@ -214,40 +214,6 @@ TEST(RpGrowthTest, NoiseTolerantModeBridgesPlantedGap) {
 // These are the inputs on which unsorted path lists used to compound into
 // ~100 runs per merge down the recursion.
 
-/// bench_hotpath's dense-synth burst stream (50 tags, 2-6 day events
-/// firing at 0.9) at a fifth of its length.
-gen::GeneratedHashtagStream DenseBurstStream() {
-  constexpr double kScale = 0.2;
-  gen::HashtagParams p;
-  p.num_minutes = static_cast<size_t>(40000 * kScale);
-  p.num_hashtags = 50;
-  p.background_rate = 1.0;
-  p.daily_dropout_base = 0.0;
-  p.daily_dropout_slope = 0.0;
-  p.num_random_events = static_cast<size_t>(16 * kScale) + 1;
-  p.min_event_tags = 2;
-  p.max_event_tags = 4;
-  p.min_event_windows = 1;
-  p.max_event_windows = 2;
-  p.min_event_minutes = 2 * 1440;
-  p.max_event_minutes = 6 * 1440;
-  p.event_fire_prob = 0.9;
-  p.seed = 4242;
-  return gen::GenerateHashtagStream(p);
-}
-
-/// The dense regime's classic relative threshold: minPS = 5 % of the
-/// transactions, per 6 h. minRec is 1, because the shortened stream has
-/// too few events for many itemsets to recur twice.
-RpParams DenseParams(const TransactionDatabase& db) {
-  RpParams params;
-  params.period = 360;
-  params.min_ps = static_cast<uint64_t>(
-      std::ceil(0.05 * static_cast<double>(db.size())));
-  params.min_rec = 1;
-  return params;
-}
-
 struct FragmentingCase {
   const char* name;
   TransactionDatabase db;
@@ -256,8 +222,8 @@ struct FragmentingCase {
 
 std::vector<FragmentingCase> FragmentingCases() {
   std::vector<FragmentingCase> cases;
-  TransactionDatabase dense = DenseBurstStream().db;
-  const RpParams dense_params = DenseParams(dense);
+  TransactionDatabase dense = DenseBurstDb();
+  const RpParams dense_params = DenseBurstParams(dense);
   cases.push_back({"dense-burst", std::move(dense), dense_params});
   RpParams twitter_params;
   twitter_params.period = 60;
@@ -334,11 +300,12 @@ TEST(RpGrowthFragmentationTest, MaxPatternsCutKeepsOnePrefixAcrossThreads) {
 // and a kept TS^{beta+i} is handed to the child instead of being merged
 // again, so a merge sees about as many runs as its pattern base has paths.
 // When path lists entered conditional trees unsorted, the runs compounded
-// level by level: this fixture then averaged ~15 runs per merge (~100 at
-// bench_hotpath's full dense-synth scale); it now averages ~4.
+// level by level: this fixture then averaged ~15 runs per merge (~100 on
+// the same stream five times longer); it now averages ~4.
 TEST(RpGrowthFragmentationTest, MergesSeeFewRunsOnDenseBursts) {
-  const TransactionDatabase db = DenseBurstStream().db;
-  const RpGrowthResult result = MineRecurringPatterns(db, DenseParams(db));
+  const TransactionDatabase db = DenseBurstDb();
+  const RpGrowthResult result =
+      MineRecurringPatterns(db, DenseBurstParams(db));
   ASSERT_GT(result.stats.merge_invocations, 0u);
   const double runs_per_merge =
       static_cast<double>(result.stats.runs_merged) /

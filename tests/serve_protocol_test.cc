@@ -5,6 +5,7 @@
 
 #include "rpm/serve/protocol.h"
 
+#include <limits>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -85,6 +86,28 @@ TEST(ParseRequest, RejectsIncoherentRequests) {
                    .ok());
   EXPECT_FALSE(ParseRequest("{\"op\":\"swap\",\"dataset\":\"d\"}").ok());
   EXPECT_FALSE(ParseRequest("not json").ok());
+}
+
+TEST(ParseRequest, RejectsLimitsTheQueryCannotHoldLikeTheCli) {
+  const std::string prefix =
+      "{\"op\":\"query\",\"dataset\":\"d\",\"per\":2,\"min_ps\":3,";
+  for (const char* bad :
+       {"\"tolerance\":4294967296}", "\"max_memory_mb\":17592186044416}"}) {
+    Result<Request> r = ParseRequest(prefix + bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+        << bad;
+  }
+  Result<Request> r = ParseRequest(
+      prefix +
+      "\"tolerance\":4294967295,\"max_memory_mb\":17592186044415,"
+      "\"timeout_ms\":9223372036854775807}");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->query.params.max_gap_violations, 4294967295u);
+  EXPECT_EQ(r->query.limits.memory_budget_bytes, 17592186044415ull << 20);
+  EXPECT_EQ(r->query.limits.timeout_ms,
+            std::numeric_limits<int64_t>::max());
 }
 
 TEST(ParseRequest, MinPsZeroResolvesToOneLikeTheCli) {

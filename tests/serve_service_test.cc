@@ -9,8 +9,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "rpm/core/thread_pool.h"
 #include "rpm/engine/dataset_snapshot.h"
 #include "rpm/engine/snapshot_registry.h"
 #include "rpm/serve/protocol.h"
@@ -164,6 +167,40 @@ TEST_F(ServiceTest, CappedTenantIsNotServedAnUncappedCachedAnswer) {
   EXPECT_TRUE(capped.Find("truncated")->bool_value);
   EXPECT_LE(capped.Find("pattern_count")->integer, 1);
   EXPECT_EQ(capped.Find("meta")->Find("cache")->string_value, "miss");
+}
+
+TEST_F(ServiceTest, ThreadCountIsCappedAtTheHardware) {
+  // hw + 2 items that each recur alone (item i at i + 1, i + 1 + n, ...):
+  // hw + 2 top-level subproblems, so an uncapped request would start
+  // hw + 2 workers.
+  const size_t hw = ResolveThreadCount(0);
+  const size_t n = hw + 2;
+  ItemDictionary dict;
+  std::vector<std::pair<Timestamp, Itemset>> rows;
+  for (size_t i = 0; i < n; ++i) dict.GetOrAdd(std::to_string(i));
+  for (size_t t = 0; t < 4 * n; ++t) {
+    rows.push_back({static_cast<Timestamp>(t + 1),
+                    {static_cast<ItemId>(t % n)}});
+  }
+  ASSERT_TRUE(registry_
+                  .Register("solo", engine::DatasetSnapshot::Create(
+                                        MakeDatabase(rows, std::move(dict))))
+                  .ok());
+  std::string query = "{\"op\":\"query\",\"dataset\":\"solo\",\"per\":";
+  query += std::to_string(n);
+  query += ",\"min_ps\":2,\"backend\":\"parallel\"";
+  QueryService service = MakeService();
+  JsonValue capped = MustParse(service.HandleLine(
+      query + ",\"threads\":" + std::to_string(n) + "}"));
+  ASSERT_EQ(StatusOf(capped), "OK");
+  EXPECT_EQ(capped.Find("pattern_count")->integer, static_cast<int64_t>(n));
+  EXPECT_EQ(capped.Find("meta")->Find("threads_used")->integer,
+            static_cast<int64_t>(hw));
+  // The answer is the one a single thread gives.
+  const std::string bare = ",\"meta\":false}";
+  EXPECT_EQ(MakeService().HandleLine(query + ",\"threads\":1" + bare),
+            MakeService().HandleLine(query + ",\"threads\":" +
+                                     std::to_string(n) + bare));
 }
 
 TEST_F(ServiceTest, SwapBumpsEpochAndInvalidatesCache) {

@@ -1,6 +1,9 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <cmath>
+
+#include "rpm/gen/hashtag_generator.h"
 
 namespace rpm::testing {
 
@@ -18,6 +21,34 @@ std::vector<RecurringPattern> PaperExamplePatterns() {
   };
   SortPatternsCanonically(&expected);
   return expected;
+}
+
+TransactionDatabase DenseBurstDb() {
+  gen::HashtagParams p;
+  p.num_minutes = 8000;
+  p.num_hashtags = 50;
+  p.background_rate = 1.0;
+  p.daily_dropout_base = 0.0;
+  p.daily_dropout_slope = 0.0;
+  p.num_random_events = 4;
+  p.min_event_tags = 2;
+  p.max_event_tags = 4;
+  p.min_event_windows = 1;
+  p.max_event_windows = 2;
+  p.min_event_minutes = 2 * 1440;
+  p.max_event_minutes = 6 * 1440;
+  p.event_fire_prob = 0.9;
+  p.seed = 4242;
+  return gen::GenerateHashtagStream(p).db;
+}
+
+RpParams DenseBurstParams(const TransactionDatabase& db) {
+  RpParams params;
+  params.period = 360;
+  params.min_ps = static_cast<uint64_t>(
+      std::ceil(0.05 * static_cast<double>(db.size())));
+  params.min_rec = 1;
+  return params;
 }
 
 TransactionDatabase MakeRandomDb(const RandomDbSpec& spec, uint64_t seed) {

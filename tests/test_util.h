@@ -71,6 +71,17 @@ struct RandomDbSpec {
 /// `seed`.
 TransactionDatabase MakeRandomDb(const RandomDbSpec& spec, uint64_t seed);
 
+/// A dense burst stream: 50 tags with no background dropout and a few
+/// 2-6 day events firing at 0.9, over 8,000 minutes. Few distinct
+/// transaction shapes recur for long stretches, so a rank's nodes carry
+/// long pushed-up lists that interleave. Deterministic.
+TransactionDatabase DenseBurstDb();
+
+/// The dense regime's classic relative threshold for `db`: minPS = 5 %
+/// of the transactions, per 6 h. minRec is 1, because the stream has too
+/// few events for many itemsets to recur twice.
+RpParams DenseBurstParams(const TransactionDatabase& db);
+
 /// Re-derives TS^X from the database and checks the pattern's support and
 /// interval list against the definitional measures. Returns an empty
 /// string when the pattern verifies, else a description of the mismatch.

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "rpm/core/rp_growth.h"
@@ -71,6 +72,45 @@ void ReplayAndCheck(const TransactionDatabase& db, const RpParams& params,
   }
 }
 
+// The grouped-burst stream: kGroups groups of 4 items fire in round-robin
+// bursts of kBurstLen consecutive timestamps, so each group recurs in 5
+// intervals per window of kGroupedWindowTxns transactions (per 1). An
+// item drops out where (t + 31 i) mod 23 == 0, which splits intervals and
+// drifts supports as the window slides. In each window-long epoch one
+// group also carries an epoch item that never recurs, so its tree nodes
+// retire once the window has slid past it.
+constexpr size_t kGroups = 24;
+constexpr size_t kBurstLen = 8;
+constexpr size_t kGroupedWindowTxns = kGroups * kBurstLen * 5;
+
+TransactionDatabase GroupedBurstDb(size_t num_txns) {
+  constexpr size_t kItemsPerGroup = 4;
+  std::vector<std::pair<Timestamp, Itemset>> rows;
+  for (size_t t = 0; t < num_txns; ++t) {
+    Itemset items;
+    const size_t group = (t / kBurstLen) % kGroups;
+    for (size_t i = 0; i < kItemsPerGroup; ++i) {
+      if ((t + 31 * i) % 23 == 0) continue;
+      items.push_back(static_cast<ItemId>(group * kItemsPerGroup + i));
+    }
+    const size_t epoch = t / kGroupedWindowTxns;
+    if (group == epoch % kGroups) {
+      items.push_back(
+          static_cast<ItemId>(kGroups * kItemsPerGroup + epoch % 4));
+    }
+    rows.emplace_back(static_cast<Timestamp>(t), std::move(items));
+  }
+  return MakeDatabase(std::move(rows));
+}
+
+RpParams GroupedBurstParams() {
+  RpParams params;
+  params.period = 1;
+  params.min_ps = 4;
+  params.min_rec = 2;
+  return params;
+}
+
 TEST(WindowedMinerTest, SingleDeltaEqualsBatchOnPaperExample) {
   const TransactionDatabase db = PaperExampleDb();
   WindowedMiner miner(PaperExampleParams(), /*window=*/1000);
@@ -106,6 +146,14 @@ TEST(WindowedMinerTest, SlidingWindowMatchesBatchAcrossSeeds) {
     for (size_t delta : {size_t{1}, size_t{5}, size_t{17}}) {
       ReplayAndCheck(db, params, std::max<Timestamp>(1, span / 3), delta);
     }
+  }
+  // One burst per delta (window/delta = 120) and window/delta = 20, over
+  // two and a half windows of the grouped-burst stream.
+  const TransactionDatabase grouped =
+      GroupedBurstDb(kGroupedWindowTxns * 5 / 2);
+  for (size_t delta : {kBurstLen, kGroupedWindowTxns / 20}) {
+    ReplayAndCheck(grouped, GroupedBurstParams(),
+                   static_cast<Timestamp>(kGroupedWindowTxns - 1), delta);
   }
 }
 
@@ -302,33 +350,49 @@ TEST(WindowedMinerTest, EmptyBatchIsNoOpBeforeAndAfterFirstDelta) {
   EXPECT_EQ(miner.patterns(), committed);
 }
 
+/// Feeds `db` to a fresh miner in `delta`-transaction batches and
+/// returns its counters.
+WindowedCounters ReplayCounters(const TransactionDatabase& db,
+                                const RpParams& params, Timestamp window,
+                                size_t delta) {
+  WindowedMiner miner(params, window);
+  const std::vector<Transaction>& txns = db.transactions();
+  for (size_t offset = 0; offset < txns.size(); offset += delta) {
+    const size_t end = std::min(txns.size(), offset + delta);
+    std::vector<Transaction> batch(txns.begin() + offset, txns.begin() + end);
+    EXPECT_TRUE(miner.ApplyDelta(batch).applied);
+  }
+  return miner.counters();
+}
+
 TEST(WindowedMinerTest, CountersAreScheduleInvariantAcrossDeltaSizes) {
   // The maintenance counters describe the stream and the window, not the
   // delta schedule... with the exception of deltas_applied and the
-  // subproblem accounting, which by design depend on batching. Feed the
-  // same stream in 1- and 3-transaction deltas and compare the
-  // stream-describing subset.
-  const TransactionDatabase db = PaperExampleDb();
-  RpParams params = PaperExampleParams();
-  auto replay = [&](size_t delta) {
-    WindowedMiner miner(params, /*window=*/5);
-    const std::vector<Transaction>& txns = db.transactions();
-    for (size_t offset = 0; offset < txns.size(); offset += delta) {
-      const size_t end = std::min(txns.size(), offset + delta);
-      std::vector<Transaction> batch(txns.begin() + offset,
-                                     txns.begin() + end);
-      PatternDelta pd = miner.ApplyDelta(batch);
-      EXPECT_TRUE(pd.applied);
-    }
-    return miner.counters();
-  };
-  const WindowedCounters by_one = replay(1);
-  const WindowedCounters by_three = replay(3);
+  // subproblem accounting, which by design depend on batching, and node
+  // retirement and compaction, which are lazy. Feed the same stream in
+  // two delta sizes and compare the stream-describing subset.
+  const WindowedCounters by_one =
+      ReplayCounters(PaperExampleDb(), PaperExampleParams(), 5, 1);
+  const WindowedCounters by_three =
+      ReplayCounters(PaperExampleDb(), PaperExampleParams(), 5, 3);
   EXPECT_EQ(by_one.timestamps_appended, by_three.timestamps_appended);
   EXPECT_EQ(by_one.timestamps_retired, by_three.timestamps_retired);
   EXPECT_EQ(by_one.transactions_expired, by_three.transactions_expired);
   EXPECT_EQ(by_one.deltas_applied, 12u);
   EXPECT_EQ(by_three.deltas_applied, 4u);
+
+  // The grouped-burst stream expires whole epochs, so retirement runs.
+  const TransactionDatabase grouped =
+      GroupedBurstDb(kGroupedWindowTxns * 5 / 2);
+  const Timestamp window = static_cast<Timestamp>(kGroupedWindowTxns - 1);
+  const WindowedCounters by_burst =
+      ReplayCounters(grouped, GroupedBurstParams(), window, kBurstLen);
+  const WindowedCounters coarse = ReplayCounters(
+      grouped, GroupedBurstParams(), window, kGroupedWindowTxns / 20);
+  EXPECT_GT(by_burst.nodes_retired, 0u);
+  EXPECT_EQ(by_burst.timestamps_appended, coarse.timestamps_appended);
+  EXPECT_EQ(by_burst.timestamps_retired, coarse.timestamps_retired);
+  EXPECT_EQ(by_burst.transactions_expired, coarse.transactions_expired);
 }
 
 TEST(WindowedMinerTest, MaxPatternLengthIsForwardedToSubMines) {
