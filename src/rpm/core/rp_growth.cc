@@ -26,8 +26,8 @@ constexpr uint32_t kWalkLanes = 16;
 /// One (prefix path, ts-list) element of a conditional pattern base. The
 /// ancestor ranks live in the owning frame's flat rank storage (no
 /// per-path heap allocation). The ts-list starts as a range of the mined
-/// tree's slab (a concatenation of sorted runs); SortPaths replaces it
-/// with a sorted list before the path enters a conditional tree.
+/// tree's slab (a concatenation of sorted runs); SortPath replaces it with
+/// a sorted list before the path enters a conditional tree.
 struct PathRef {
   uint32_t ranks_begin = 0;  // Offset into the frame's rank storage.
   uint32_t ranks_len = 0;
@@ -44,14 +44,13 @@ struct Frame {
   // Conditional-pattern-base collection (CollectAndMine):
   std::vector<PathRef> paths;
   std::vector<uint32_t> rank_storage;   ///< Flat ancestor-rank slab.
-  std::vector<TsRun> beta_runs;         ///< Run descriptors for TS^beta.
-  TimestampList ts_beta;                ///< Merged TS^beta (top level).
   std::vector<PeriodicInterval> intervals;  ///< Fused-gate output.
-  // Conditional-tree construction (BuildConditionalAndRecurse); acc and
-  // runs_by_rank are indexed by parent rank and grow-only, with only the
-  // touched entries cleared after use.
-  TimestampList sorted_paths;           ///< Paths' sorted lists (SortPaths).
+  // Conditional-tree construction (BuildConditionalAndRecurse); support,
+  // acc and runs_by_rank are indexed by parent rank and grow-only, with
+  // only the touched entries cleared after use.
+  TimestampList sorted_paths;           ///< Paths' sorted lists (SortPath).
   std::vector<TsRun> path_runs;         ///< One path's run split.
+  std::vector<size_t> support;          ///< |TS^{beta+item}|, counted.
   std::vector<TimestampList> acc;           ///< Merged TS^{beta+item}.
   std::vector<std::vector<TsRun>> runs_by_rank;
   std::vector<uint32_t> touched;
@@ -62,11 +61,10 @@ struct Frame {
   size_t ByteFootprint() const {
     size_t bytes = paths.capacity() * sizeof(PathRef) +
                    rank_storage.capacity() * sizeof(uint32_t) +
-                   beta_runs.capacity() * sizeof(TsRun) +
-                   (ts_beta.capacity() + sorted_paths.capacity()) *
-                       sizeof(Timestamp) +
+                   sorted_paths.capacity() * sizeof(Timestamp) +
                    intervals.capacity() * sizeof(PeriodicInterval) +
                    path_runs.capacity() * sizeof(TsRun) +
+                   support.capacity() * sizeof(size_t) +
                    (touched.capacity() + kept.capacity() +
                     new_rank_of.capacity() + mapped.capacity()) *
                        sizeof(uint32_t);
@@ -140,12 +138,13 @@ class Miner {
   /// Algorithm 4's outer loop). `cap_headroom` is how many patterns this
   /// subproblem may emit before it is doomed to be dropped by the
   /// max-patterns cut; UINT64_MAX = unlimited. Reads `tree` only, so
-  /// workers mine different ranks of one tree concurrently.
+  /// workers mine different ranks of one tree concurrently. TS^item is the
+  /// tree's sealed rank list, handed down like a conditional level's.
   Outcome MineTopRank(const TsPrefixTree& tree, size_t rank,
                       uint64_t cap_headroom) {
     BeginSubproblem(cap_headroom);
     Itemset suffix;
-    CollectAndMine(tree, rank, nullptr, &suffix);
+    CollectAndMine(tree, rank, tree.RankList(rank), &suffix);
     return CurrentOutcome();
   }
 
@@ -188,7 +187,7 @@ class Miner {
     for (size_t rank = tree.num_ranks(); rank-- > 0;) {
       if (ShouldStop()) return;
       if (tree.RankBegin(rank) != tree.RankEnd(rank)) {
-        CollectAndMine(tree, rank, &parent.acc[parent.kept[rank]], suffix);
+        CollectAndMine(tree, rank, parent.acc[parent.kept[rank]], suffix);
       }
     }
   }
@@ -205,11 +204,10 @@ class Miner {
   }
 
   /// Collects the conditional pattern base of the item at `rank` in one
-  /// walk over the rank's nodes in chain order, then mines it. Ancestor
-  /// ranks go from the parent links straight into the frame's flat slab.
-  /// `handed` is TS^beta when the parent level already merged it; only
-  /// the top-level ranks of the sealed tree (handed == nullptr) merge
-  /// TS^beta from the nodes' sorted runs here.
+  /// walk over the rank's nodes in chain order, then mines it with
+  /// `ts_beta`, the rank's sorted TS^beta: the tree's rank list at the top
+  /// level, the parent level's kept accumulator below it. Ancestor ranks
+  /// go from the parent links straight into the frame's flat slab.
   ///
   /// Each parent load depends on the one before it, so one chain at a
   /// time waits on one cache miss at a time. The walk therefore takes the
@@ -219,12 +217,11 @@ class Miner {
   /// front over the now-cached links, so a path's ranks come out
   /// ascending, exactly as a plain walk plus reverse would leave them.
   void CollectAndMine(const TsPrefixTree& tree, size_t rank,
-                      const TimestampList* handed, Itemset* suffix) {
+                      const TimestampList& ts_beta, Itemset* suffix) {
     constexpr uint32_t kNoParent = TsPrefixTree::kNoParent;
     Frame& frame = scratch_->FrameAt(depth_);
     frame.paths.clear();
     frame.rank_storage.clear();
-    frame.beta_runs.clear();
     const uint32_t end = tree.RankEnd(rank);
     for (uint32_t first = tree.RankBegin(rank); first < end;
          first += kWalkLanes) {
@@ -265,17 +262,10 @@ class Miner {
         }
         frame.paths.push_back({static_cast<uint32_t>(begin), len, ts});
         begin += len;
-        if (handed == nullptr) AppendSortedRuns(ts, &frame.beta_runs);
       }
     }
-    if (handed == nullptr) {
-      if (frame.beta_runs.empty()) return;  // No timestamps at this rank.
-      MergeSortedRuns(frame.beta_runs.data(), frame.beta_runs.size(),
-                      &frame.ts_beta, &scratch_->merge, &scratch_->counters);
-      handed = &frame.ts_beta;
-    }
-    MineCollected(tree.items_by_rank(), frame, *handed,
-                  tree.ItemAtRank(rank), suffix);
+    MineCollected(tree.items_by_rank(), frame, ts_beta, tree.ItemAtRank(rank),
+                  suffix);
   }
 
   /// Tail of CollectAndMine: the fused gate + getRecurrence (Algorithm 5)
@@ -337,41 +327,19 @@ class Miner {
     suffix->pop_back();
   }
 
-  /// Replaces every path's ts-list with a sorted one, so each path adds
-  /// one run per rank on it and enters the conditional tree as one run.
-  /// The paths' lists partition TS^beta: a lone path's sorted list is
-  /// `ts_beta` itself, a list that is already one run stays in place, and
-  /// any other list is merged once into the frame's sorted_paths slab.
-  void SortPaths(Frame& frame, const TimestampList& ts_beta) {
-    PathRef* lone = nullptr;
-    size_t with_ts = 0;
-    for (PathRef& pr : frame.paths) {
-      if (pr.ts.empty()) continue;
-      lone = &pr;
-      ++with_ts;
-    }
-    if (with_ts == 1) {
-      RPM_DCHECK(lone->ts.size() == ts_beta.size());
-      lone->ts = ts_beta;
-      return;
-    }
-    // The slab's size only grows, so its fill is paid once per frame.
-    if (frame.sorted_paths.size() < ts_beta.size()) {
-      frame.sorted_paths.resize(ts_beta.size());
-    }
-    Timestamp* cursor = frame.sorted_paths.data();
-    for (PathRef& pr : frame.paths) {
-      if (pr.ts.empty()) continue;
-      frame.path_runs.clear();
-      AppendSortedRuns(pr.ts, &frame.path_runs);
-      if (frame.path_runs.size() == 1) continue;
-      Timestamp* const end =
-          MergeSortedRunsInto(frame.path_runs.data(), frame.path_runs.size(),
-                              cursor, &scratch_->merge, &scratch_->counters);
-      pr.ts = {cursor, end};
-      cursor = end;
-    }
-    RPM_DCHECK(cursor <= frame.sorted_paths.data() + ts_beta.size());
+  /// Replaces a multi-run path's ts-list with a sorted one, merged at
+  /// `*cursor` in the frame's sorted_paths slab, so the path adds one run
+  /// per rank on it and enters the conditional tree as one run. A list
+  /// that is already one run stays in place.
+  void SortPath(Frame& frame, PathRef& pr, Timestamp** cursor) {
+    frame.path_runs.clear();
+    AppendSortedRuns(pr.ts, &frame.path_runs);
+    if (frame.path_runs.size() == 1) return;
+    Timestamp* const end =
+        MergeSortedRunsInto(frame.path_runs.data(), frame.path_runs.size(),
+                            *cursor, &scratch_->merge, &scratch_->counters);
+    pr.ts = {*cursor, end};
+    *cursor = end;
   }
 
   void BuildConditionalAndRecurse(const std::vector<ItemId>& items_by_rank,
@@ -379,44 +347,78 @@ class Miner {
                                   Itemset* suffix) {
     if (ShouldStop()) return;
     const size_t nranks = items_by_rank.size();
+    if (frame.support.size() < nranks) frame.support.resize(nranks, 0);
     if (frame.acc.size() < nranks) frame.acc.resize(nranks);
     if (frame.runs_by_rank.size() < nranks) frame.runs_by_rank.resize(nranks);
-    SortPaths(frame, ts_beta);
 
-    // Map every path's sorted ts-list onto all items of its path
-    // ("temporary array, one for each item" in Sec. 4.2.3), as one run
-    // descriptor per path, so runs_by_rank[r] describes
-    // TS^{beta + item_at_rank_r}.
+    // Count first. The paths partition TS^beta, so |TS^{beta+i}| is the
+    // summed length of the paths through i, sorted or not. A list shorter
+    // than MinSupport fails the gate whatever its order (Erec <=
+    // floor(|TS| / minPS) < minRec), so its rank is counted as pruned and
+    // dropped from `touched` (its count reset to 0) before any path is
+    // sorted or any run mapped.
     frame.touched.clear();
-    for (const PathRef& pr : frame.paths) {
+    PathRef* lone = nullptr;
+    size_t with_ts = 0;
+    for (PathRef& pr : frame.paths) {
       if (pr.ts.empty()) continue;
+      lone = &pr;
+      ++with_ts;
       const uint32_t* path_ranks = frame.rank_storage.data() + pr.ranks_begin;
       for (uint32_t k = 0; k < pr.ranks_len; ++k) {
         const uint32_t r = path_ranks[k];
-        if (frame.runs_by_rank[r].empty()) frame.touched.push_back(r);
-        frame.runs_by_rank[r].push_back({pr.ts.data(), pr.ts.size()});
+        if (frame.support[r] == 0) frame.touched.push_back(r);
+        frame.support[r] += pr.ts.size();
       }
     }
+    std::erase_if(frame.touched, [&](uint32_t r) {
+      if (frame.support[r] >= min_support_) return false;
+      ++result_->stats.support_pruned;
+      frame.support[r] = 0;
+      return true;
+    });
     if (frame.touched.empty()) return;
 
-    // Count first, then merge. The paths partition TS^beta, so
-    // |TS^{beta+i}| is the summed length of i's runs. A list shorter than
-    // MinSupport fails the gate whatever its order (Erec <=
-    // floor(|TS| / minPS) < minRec), so it is counted as pruned and never
-    // merged or scanned. The others are merged and kept if they can still
-    // extend beta (conditional Erec gate). Every touched entry's runs are
-    // cleared, on a stop too — the grow-only scratch invariant
-    // ("runs_by_rank[r] empty between subproblems") must hold for whatever
-    // this worker mines next.
+    // Sort only the paths through a counted rank, and map each sorted
+    // ts-list onto those ranks of its path ("temporary array, one for each
+    // item" in Sec. 4.2.3) as one run descriptor, so runs_by_rank[r]
+    // describes TS^{beta + item_at_rank_r}. The paths' sorted lists
+    // partition TS^beta: a lone path's is `ts_beta` itself, and the others
+    // fit in a slab of |TS^beta| timestamps, whose fill is paid once per
+    // frame because it only grows.
+    if (with_ts == 1) {
+      RPM_DCHECK(lone->ts.size() == ts_beta.size());
+      lone->ts = ts_beta;
+    } else if (frame.sorted_paths.size() < ts_beta.size()) {
+      frame.sorted_paths.resize(ts_beta.size());
+    }
+    Timestamp* cursor = frame.sorted_paths.data();
+    for (PathRef& pr : frame.paths) {
+      if (pr.ts.empty()) continue;
+      const uint32_t* path_ranks = frame.rank_storage.data() + pr.ranks_begin;
+      const uint32_t* const path_end = path_ranks + pr.ranks_len;
+      if (std::none_of(path_ranks, path_end,
+                       [&](uint32_t r) { return frame.support[r] != 0; })) {
+        continue;
+      }
+      if (with_ts != 1) SortPath(frame, pr, &cursor);
+      for (const uint32_t* r = path_ranks; r != path_end; ++r) {
+        if (frame.support[*r] != 0) {
+          frame.runs_by_rank[*r].push_back({pr.ts.data(), pr.ts.size()});
+        }
+      }
+    }
+
+    // Merge each counted TS^{beta+i} and keep it if it can still extend
+    // beta (conditional Erec gate). Every touched entry's count and runs
+    // are cleared, on a stop too — the grow-only scratch invariant
+    // ("support[r] == 0 and runs_by_rank[r] empty between subproblems")
+    // must hold for whatever this worker mines next.
     frame.kept.clear();
     bool stopped = false;
     for (uint32_t r : frame.touched) {
       std::vector<TsRun>& runs = frame.runs_by_rank[r];
-      size_t support = 0;
-      for (const TsRun& run : runs) support += run.size;
-      if (support < min_support_) {
-        ++result_->stats.support_pruned;
-      } else if (!stopped) {
+      if (!stopped) {
         stopped = ShouldStop();
         if (!stopped) {
           MergeSortedRuns(runs.data(), runs.size(), &frame.acc[r],
@@ -424,6 +426,7 @@ class Miner {
           if (PassesGate(frame.acc[r])) frame.kept.push_back(r);
         }
       }
+      frame.support[r] = 0;
       runs.clear();
     }
     if (stopped || frame.kept.empty()) {
@@ -505,15 +508,6 @@ void FoldScratchStats(const MinerScratch& scratch, RpGrowthStats* stats) {
   stats->scratch_bytes_peak = std::max(stats->scratch_bytes_peak, bytes);
 }
 
-/// |TS^item| of top-level `rank`: the rank's nodes' lists partition it.
-size_t RankSupport(const TsPrefixTree& tree, size_t rank) {
-  size_t support = 0;
-  for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
-    support += tree.ListLength(n);
-  }
-  return support;
-}
-
 /// Sequential top-level loop (Algorithm 4's outer loop) with per-
 /// subproblem commit/rollback: a subproblem the budget hard-stops — or
 /// that would push the committed total past the max-patterns cap — is
@@ -530,7 +524,7 @@ void MineSequentialTopLevel(const TsPrefixTree& tree, const RpParams& params,
   const uint64_t min_support = MinSupport(params);
   uint64_t committed = 0;
   for (size_t rank = tree.num_ranks(); rank-- > 0;) {
-    const size_t support = RankSupport(tree, rank);
+    const size_t support = tree.RankList(rank).size();
     if (support == 0) continue;
     if (support < min_support) {
       ++result->stats.support_pruned;
@@ -561,9 +555,8 @@ void MineSequentialTopLevel(const TsPrefixTree& tree, const RpParams& params,
 
 /// Parallel mining phase: workers take the tree's suffix ranks directly
 /// and mine them with per-rank results, then commit. Counters sum to
-/// exactly the sequential values because every subproblem, its TS^beta
-/// merge included, is counted once, on whichever worker runs it. Workers
-/// share the sealed tree read-only.
+/// exactly the sequential values because every subproblem is counted once,
+/// on whichever worker runs it. Workers share the sealed tree read-only.
 ///
 /// Budget governance commits the longest prefix (in bottom-up,
 /// descending-rank order) of subproblems that completed and fit under the
@@ -581,7 +574,7 @@ void MineParallel(const TsPrefixTree& tree, const RpParams& params,
   std::vector<uint32_t> ranks;
   std::vector<size_t> weight;
   for (size_t rank = tree.num_ranks(); rank-- > 0;) {
-    const size_t w = RankSupport(tree, rank);
+    const size_t w = tree.RankList(rank).size();
     if (w == 0) continue;
     if (w < min_support) {
       ++result->stats.support_pruned;
@@ -765,8 +758,10 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
   BudgetCheckpointer checkpoint(budget);
   size_t reported_bytes = 0;
   std::vector<uint32_t> ranks;
+  size_t inserted = 0;
   for (const Transaction& tr : db.transactions()) {
     if (checkpoint.Check()) break;  // Partial build; the caller discards.
+    ++inserted;
     ranks.clear();
     for (ItemId item : tr.items) {
       if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
@@ -784,7 +779,11 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
   // Net the build-time accounting back out (the peak was captured); the
   // caller re-tracks the finished tree for its mining phase.
   if (budget != nullptr) budget->ReleaseTrackedBytes(reported_bytes);
-  return std::move(builder).Seal();
+  TsPrefixTree tree = std::move(builder).Seal();
+  // Second projection pass, after the builder's buffers are freed, so the
+  // rank lists never coexist with them.
+  tree.FillRankLists(std::span(db.transactions()).first(inserted), rank_of);
+  return tree;
 }
 
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
@@ -799,6 +798,7 @@ RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
             options.pruning == prepared.pruning)
       << "query params looser than the prepared build: " << params.ToString()
       << " vs " << prepared.params.ToString();
+  RPM_CHECK(tree.has_rank_lists()) << "tree was not built by BuildRankedTree";
   RpGrowthResult result;
   Stopwatch total;
   result.stats.num_items = prepared.num_items;

@@ -85,10 +85,11 @@ struct RpGrowthStats {
   size_t patterns_emitted = 0;      ///< Recurring patterns found.
   size_t threads_used = 1;          ///< Mining-phase worker count.
   // Ts-list merge-kernel counters (src/rpm/core/ts_merge.h). They count
-  // every kernel call: top-level TS^beta merges, the once-per-path sorts
-  // of multi-run pattern-base lists, and the TS^{beta+i} merges. All three
-  // are schedule-invariant: parallel runs report exactly the sequential
-  // values.
+  // every kernel call: the once-per-path sorts of multi-run pattern-base
+  // lists that reach a rank surviving the count, and the TS^{beta+i}
+  // merges (a top-level TS^item is the tree's rank list, never merged).
+  // All three are schedule-invariant: parallel runs report exactly the
+  // sequential values.
   size_t merge_invocations = 0;     ///< Run-merge kernel calls.
   size_t runs_merged = 0;           ///< Sorted runs consumed by the kernel.
   size_t timestamps_merged = 0;     ///< Timestamps written by the kernel.
@@ -100,9 +101,9 @@ struct RpGrowthStats {
   /// TS-lists skipped by the count-first rule: TS^{beta+i} lists, and
   /// top-level TS^item lists of a tree built at looser params, whose
   /// length is below MinSupport(params), so no order of theirs could
-  /// pass the gate. Each would otherwise have cost one merge and, in the
-  /// exact model, one gate scan. Schedule-invariant, like the counters
-  /// above.
+  /// pass the gate. Each would otherwise have cost a gate scan in the
+  /// exact model, plus one merge for a TS^{beta+i} or a pattern-base walk
+  /// for a top-level list. Schedule-invariant, like the counters above.
   size_t support_pruned = 0;
   /// Peak bytes retained by the miner scratch pools (frames with their
   /// sorted-path slabs and accumulators, run descriptors, merge and mask

@@ -164,7 +164,43 @@ TsPrefixTree TsPrefixTree::Builder::Seal() && {
   return tree;
 }
 
+void TsPrefixTree::FillRankLists(std::span<const Transaction> transactions,
+                                 std::span<const uint32_t> rank_of) {
+  const size_t nranks = num_ranks();
+  // A rank's nodes' lists partition TS^item, so their summed length is the
+  // list's exact size.
+  std::vector<size_t> length(nranks, 0);
+  for (uint32_t n = 0; n < links_.size(); ++n) {
+    length[links_[n].rank] += spans_[n].len;
+  }
+  rank_lists_.assign(nranks, TimestampList());
+  for (size_t r = 0; r < nranks; ++r) rank_lists_[r].reserve(length[r]);
+  for (const Transaction& tr : transactions) {
+    for (ItemId item : tr.items) {
+      const uint32_t rank = rank_of[item];
+      if (rank < nranks) rank_lists_[rank].push_back(tr.ts);
+    }
+  }
+  for (size_t r = 0; r < nranks; ++r) {
+    RPM_CHECK(rank_lists_[r].size() == length[r])
+        << "rank " << r << " list does not match its nodes";
+  }
+}
+
+size_t TsPrefixTree::ApproxBytes() const {
+  size_t timestamps = slab_.size();
+  for (const TimestampList& list : rank_lists_) timestamps += list.size();
+  return links_.size() * (sizeof(Link) + sizeof(ListSpan)) +
+         timestamps * sizeof(Timestamp);
+}
+
 TsPrefixTree::RetireStats TsPrefixTree::RetireBefore(Timestamp cutoff) {
+  // A rank list is sorted: its expired timestamps are a prefix.
+  for (TimestampList& list : rank_lists_) {
+    list.erase(list.begin(),
+               std::lower_bound(list.begin(), list.end(), cutoff));
+  }
+
   const size_t num_nodes = links_.size();
   // Own length of every node: its span minus its children's spans.
   std::vector<uint32_t> own(num_nodes);

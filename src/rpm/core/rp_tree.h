@@ -18,6 +18,10 @@
 // and never changes it, so any number of miners (parallel workers,
 // concurrent queries over one cached build) can share one tree.
 //
+// A top-level tree also carries each rank's sorted TS^item (RankList),
+// filled after sealing by one projection pass over the transactions, so the
+// miner reads a 1-item's list instead of merging its nodes' slab ranges.
+//
 // The structure is shared by RP-growth and the PF-growth++ baseline; the
 // two differ only in the measures/pruning applied to collected ts-lists.
 
@@ -36,7 +40,8 @@ namespace rpm {
 /// Sealed prefix tree keyed by item *rank* (0 = first item of the tree's
 /// order). Nodes are addressed by dense indices, grouped by rank: the
 /// nodes of rank r are [RankBegin(r), RankEnd(r)), in chain (creation)
-/// order. Immutable except for RetireBefore; not implicitly copyable.
+/// order. Immutable except for FillRankLists and RetireBefore; not
+/// implicitly copyable.
 class TsPrefixTree {
  public:
   /// Parent index of a root child (the root itself is not stored).
@@ -130,8 +135,27 @@ class TsPrefixTree {
   }
   uint32_t ListLength(uint32_t node) const { return spans_[node].len; }
 
-  /// A plain copy of the sealed arrays. Mining never needs one — every
-  /// miner reads the tree without changing it.
+  /// Sorted TS^item of `rank`: the merge of its nodes' lists, i.e. the
+  /// timestamps of every inserted transaction holding the rank. Only a
+  /// tree given FillRankLists has these (has_rank_lists()); a conditional
+  /// tree's ranks get their lists from the level above.
+  const TimestampList& RankList(size_t rank) const {
+    return rank_lists_[rank];
+  }
+  bool has_rank_lists() const { return rank_lists_.size() == num_ranks(); }
+
+  /// Fills every rank's list in one projection pass over `transactions`,
+  /// the ones the tree was built from, in strictly increasing ts order;
+  /// `rank_of` covers every item id and maps it to its rank, or to a value
+  /// >= num_ranks() for an item not in the tree. Each list is reserved at
+  /// its nodes' summed list length first, so it is allocated once, at its
+  /// final size. Call it after Seal(), once the builder's buffers are
+  /// freed.
+  void FillRankLists(std::span<const Transaction> transactions,
+                     std::span<const uint32_t> rank_of);
+
+  /// A plain copy of the sealed arrays and rank lists. Mining never needs
+  /// one — every miner reads the tree without changing it.
   TsPrefixTree Clone() const { return TsPrefixTree(*this); }
 
   /// Outcome of a RetireBefore sweep.
@@ -144,7 +168,8 @@ class TsPrefixTree {
   /// subtree is left without timestamps — the lazy expiry sweep of the
   /// windowed miner (DESIGN.md §9). Filtering keeps relative order, so
   /// every list stays a concatenation of sorted runs, and survivors keep
-  /// their chain order. Re-runs the sealing layout over the survivors.
+  /// their chain order. Re-runs the sealing layout over the survivors and
+  /// trims each rank list's expired prefix.
   RetireStats RetireBefore(Timestamp cutoff);
 
   /// Number of nodes, excluding the root (Lemma 2's size measure).
@@ -153,13 +178,11 @@ class TsPrefixTree {
   /// Timestamps stored in the tree (each appears once in the slab).
   size_t TimestampCount() const { return slab_.size(); }
 
-  /// Sealed footprint in bytes: node links and list spans plus the
-  /// timestamp slab. This is what query memory budgets account against
-  /// (transient per-path buffers are excluded — see DESIGN.md §7.2).
-  size_t ApproxBytes() const {
-    return links_.size() * (sizeof(Link) + sizeof(ListSpan)) +
-           slab_.size() * sizeof(Timestamp);
-  }
+  /// Sealed footprint in bytes: node links and list spans, the timestamp
+  /// slab and the rank lists. This is what query memory budgets account
+  /// against (transient per-path buffers are excluded — see DESIGN.md
+  /// §7.2).
+  size_t ApproxBytes() const;
 
   bool empty() const { return links_.empty(); }
 
@@ -185,6 +208,7 @@ class TsPrefixTree {
   std::vector<Link> links_;
   std::vector<ListSpan> spans_;
   TimestampList slab_;
+  std::vector<TimestampList> rank_lists_;  // Empty, or one per rank.
 };
 
 }  // namespace rpm

@@ -14,6 +14,7 @@
 
 #include "rpm/common/deadline.h"
 #include "rpm/core/cancellation.h"
+#include "rpm/core/rp_growth.h"
 #include "rpm/engine/session.h"
 #include "rpm/verify/fault_injection.h"
 #include "test_util.h"
@@ -122,6 +123,34 @@ TEST(GovernanceTest, CancellationAfterCompletionLeavesResultIntact) {
   // The governed run kept accounting even though nothing tripped.
   EXPECT_GT(result.resource_usage.nodes_built, 0u);
   EXPECT_GT(result.resource_usage.tracked_bytes_peak, 0u);
+}
+
+TEST(GovernanceTest, TrackedBytesPeakCoversTheSealedTreeAndItsRankLists) {
+  // A governed mine tracks the sealed tree's ApproxBytes (node links, list
+  // spans, the timestamp slab and the rank lists) for its whole mining
+  // phase, so the reported peak is at least that footprint.
+  const TransactionDatabase db = GovernanceDb();
+  const PreparedMining prepared = PrepareMining(db, GovernanceParams());
+  const TsPrefixTree& tree = prepared.tree;
+  size_t list_timestamps = 0;
+  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
+    list_timestamps += tree.RankList(rank).size();
+  }
+  ASSERT_GT(list_timestamps, 0u);
+  EXPECT_GE(tree.ApproxBytes(),
+            (tree.TimestampCount() + list_timestamps) * sizeof(Timestamp));
+
+  auto snapshot = DatasetSnapshot::Create(GovernanceDb());
+  Query query;
+  query.params = GovernanceParams();
+  query.limits.memory_budget_bytes = uint64_t{1} << 40;  // Never trips.
+  for (BackendKind backend : kAllBackends) {
+    QuerySession session(snapshot);
+    const QueryResult result = RunOrDie(session, query, backend);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_GE(result.resource_usage.tracked_bytes_peak, tree.ApproxBytes())
+        << engine::BackendName(backend);
+  }
 }
 
 TEST(GovernanceTest, DeadlineViaClockFaultStopsEveryBackend) {

@@ -238,13 +238,18 @@ TEST(RpGrowthParallelTest, SinkSeesEveryPatternExactlyOnce) {
 }
 
 TEST(RpGrowthParallelTest, StatsTimersConsistent) {
-  gen::GeneratedClickstream shop = gen::MakeShop14(0.01, 12);
+  // The 4-thread mine must be long enough (~60 ms on a 4-core host) that
+  // pool start-up and a late-scheduled worker are a small share of it: on
+  // a ~1 ms mine the CPU/wall bound below failed when a worker started
+  // late.
+  gen::GeneratedClickstream shop = gen::MakeShop14(0.25, 12);
   RpParams params;
   params.period = 120;
-  params.min_ps = 20;
+  params.min_ps = 10;
   params.min_rec = 1;
   RpGrowthOptions options;
   options.num_threads = 4;
+  options.store_patterns = false;  // Only the timers are checked.
   RpGrowthResult result = MineRecurringPatterns(shop.db, params, options);
   EXPECT_GE(result.stats.threads_used, 1u);
   EXPECT_LE(result.stats.threads_used, 4u);
@@ -257,8 +262,16 @@ TEST(RpGrowthParallelTest, StatsTimersConsistent) {
   // below the phase's wall time (the rest is ranking the subproblems, pool
   // start-up and the commit walk).
   EXPECT_GE(result.stats.mine_cpu_seconds, 0.5 * result.stats.mine_seconds);
+  // Each worker is busy inside the phase only, so the summed busy time
+  // never exceeds threads_used times the phase's wall time.
+  EXPECT_LE(result.stats.mine_cpu_seconds,
+            static_cast<double>(result.stats.threads_used) *
+                result.stats.mine_seconds);
 
-  RpGrowthResult sequential = MineRecurringPatterns(shop.db, params);
+  RpGrowthOptions sequential_options;
+  sequential_options.store_patterns = false;
+  RpGrowthResult sequential =
+      MineRecurringPatterns(shop.db, params, sequential_options);
   EXPECT_EQ(sequential.stats.threads_used, 1u);
   EXPECT_DOUBLE_EQ(sequential.stats.mine_cpu_seconds,
                    sequential.stats.mine_seconds);

@@ -68,9 +68,8 @@ TEST(RpGrowthTest, StatsReflectRun) {
   EXPECT_EQ(result.stats.patterns_emitted, 8u);
   EXPECT_GE(result.stats.patterns_examined, 8u);
   EXPECT_GE(result.stats.total_seconds, 0.0);
-  // The merge kernel ran: every examined candidate assembles its ts_beta
-  // through MergeSortedRuns, and the run/timestamp tallies cover at least
-  // the per-item lists the example's tree holds.
+  // The merge kernel ran: every kept TS^{beta+i} is assembled through
+  // MergeSortedRuns (a 1-item's TS^item is the tree's rank list).
   EXPECT_GT(result.stats.merge_invocations, 0u);
   EXPECT_GT(result.stats.runs_merged, 0u);
   EXPECT_GT(result.stats.timestamps_merged, 0u);
@@ -369,6 +368,138 @@ TEST(RpGrowthCountFirstTest, PrunedListsMatchAHandCount) {
     EXPECT_EQ(reused.stats.merge_invocations, exact.stats.merge_invocations);
     EXPECT_EQ(reused.stats.gate_lists_scanned,
               exact.stats.gate_lists_scanned);
+  }
+}
+
+// Count before sort: a pattern-base path is sorted only when it runs
+// through a rank whose TS^{beta+i} the count keeps, and a top-level rank
+// mines the tree's sealed rank list instead of merging its nodes' runs.
+// Items a, b, c take ranks 0 < 1 < 2 (supports 5, 4, 4); per 100 makes
+// every list one periodic interval. The tree holds a->b->c with c's list
+// {1,2} below b's own {10}, so that b node's list is [10, 1, 2], two
+// runs; beside it root->b {20}, a's own {30,40} and root->c {50,60}.
+// Pattern bases: c has [a,b]{1,2} and []{50,60}, so TS^{c,a} and
+// TS^{c,b} hold two timestamps each; b has [a]{10,1,2} and []{20}, so
+// TS^{b,a} holds three; a's lone path [] reaches no rank.
+TransactionDatabase CountBeforeSortDb() {
+  const ItemId a = 0, b = 1, c = 2;
+  ItemDictionary dict;
+  for (const char* name : {"a", "b", "c"}) dict.GetOrAdd(name);
+  return MakeDatabase({{1, {a, b, c}},
+                       {2, {a, b, c}},
+                       {10, {a, b}},
+                       {20, {b}},
+                       {30, {a}},
+                       {40, {a}},
+                       {50, {c}},
+                       {60, {c}}},
+                      std::move(dict));
+}
+
+// A pattern base with a surviving rank and a two-run path that reaches
+// only pruned ranks. Items a, b, s, c take ranks 0 < 1 < 2 < 3 (supports
+// 7, 7, 7, 4). The tree holds a->s->c with c's list {1,2} below s's own
+// {10}, so that s node's list is [10, 1, 2]; b->s holds {20..23}. s's
+// base is [a]{10,1,2} and [b]{20..23}: TS^{s,a} holds three timestamps
+// and is pruned, TS^{s,b} holds four and is kept, so path [b] is mapped
+// and path [a], which reaches only a, is left unsorted.
+TransactionDatabase MixedBaseDb() {
+  const ItemId a = 0, b = 1, s = 2, c = 3;
+  ItemDictionary dict;
+  for (const char* name : {"a", "b", "s", "c"}) dict.GetOrAdd(name);
+  std::vector<std::pair<Timestamp, Itemset>> rows = {
+      {1, {a, s, c}}, {2, {a, s, c}}, {10, {a, s}}};
+  for (Timestamp ts : {20, 21, 22, 23}) rows.push_back({ts, {b, s}});
+  for (Timestamp ts : {30, 31, 32, 33}) rows.push_back({ts, {a}});
+  for (Timestamp ts : {40, 41, 42}) rows.push_back({ts, {b}});
+  for (Timestamp ts : {50, 51}) rows.push_back({ts, {c}});
+  return MakeDatabase(rows, std::move(dict));
+}
+
+TEST(RpGrowthCountFirstTest, PathsReachingOnlyPrunedRanksAreNotSorted) {
+  // minPS 4, minRec 1: MinSupport 4. A miner that merged each top-level
+  // TS^item from its nodes' runs and sorted every multi-run path before
+  // counting would merge once more per mined rank and per two-run path.
+  struct Case {
+    const char* name;
+    TransactionDatabase db;
+    size_t patterns;
+    uint64_t pruned;
+    uint64_t merges;
+    uint64_t conditional_trees;
+  };
+  const Case cases[] = {
+      // All three lists of pairs pruned (2 + 2 + 3 timestamps): b's base
+      // is dropped whole before its path [a] could be sorted. 0 merges
+      // (that miner: 4 — TS^a, TS^b, TS^c and path [a]).
+      {"all pruned", CountBeforeSortDb(), 3, 3, 0, 0},
+      // c's base drops a and s, s's base drops a but keeps b: one merge
+      // for the kept TS^{s,b} (that miner: 6 — four ranks, path [a] and
+      // TS^{s,b}).
+      {"mixed base", MixedBaseDb(), 5, 3, 1, 1},
+  };
+  RpParams params;
+  params.period = 100;
+  params.min_ps = 4;
+  params.min_rec = 1;
+  for (const Case& c : cases) {
+    RpGrowthStats first;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      RpGrowthOptions options;
+      options.num_threads = threads;
+      const RpGrowthResult result =
+          MineRecurringPatterns(c.db, params, options);
+      const std::string label =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      EXPECT_TRUE(
+          SamePatternSets(result.patterns, MineByDefinition(c.db, params)))
+          << label;
+      EXPECT_EQ(result.patterns.size(), c.patterns) << label;
+      EXPECT_EQ(result.stats.support_pruned, c.pruned) << label;
+      EXPECT_EQ(result.stats.merge_invocations, c.merges) << label;
+      EXPECT_EQ(result.stats.conditional_trees, c.conditional_trees)
+          << label;
+      if (threads == 1) {
+        first = result.stats;
+      } else {
+        EXPECT_EQ(result.stats.runs_merged, first.runs_merged) << label;
+        EXPECT_EQ(result.stats.timestamps_merged, first.timestamps_merged)
+            << label;
+        EXPECT_EQ(result.stats.gate_lists_scanned, first.gate_lists_scanned)
+            << label;
+        EXPECT_EQ(result.stats.gate_gaps_scanned, first.gate_gaps_scanned)
+            << label;
+        EXPECT_EQ(result.stats.patterns_examined, first.patterns_examined)
+            << label;
+      }
+    }
+  }
+}
+
+TEST(RpGrowthCountFirstTest, PathsReachingAKeptRankAreSortedOnce) {
+  const TransactionDatabase db = CountBeforeSortDb();
+  // minPS 3: MinSupport 3. c's two lists of two are pruned; TS^{b,a} =
+  // {1,2,10} is counted, so path [a] is sorted (one merge) and the list
+  // merged for its gate (one more), and {a,b} is a pattern.
+  RpParams params;
+  params.period = 100;
+  params.min_ps = 3;
+  params.min_rec = 1;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    RpGrowthOptions options;
+    options.num_threads = threads;
+    const RpGrowthResult result = MineRecurringPatterns(db, params, options);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_TRUE(SamePatternSets(result.patterns, MineByDefinition(db, params)))
+        << label;
+    EXPECT_EQ(result.patterns.size(), 4u) << label;  // a, b, c, ab.
+    EXPECT_EQ(result.stats.support_pruned, 2u) << label;
+    EXPECT_EQ(result.stats.merge_invocations, 2u) << label;
+    // The sort merges runs [10] and [1,2]; the gate merge copies the one
+    // sorted run.
+    EXPECT_EQ(result.stats.runs_merged, 3u) << label;
+    EXPECT_EQ(result.stats.timestamps_merged, 6u) << label;
+    EXPECT_EQ(result.stats.conditional_trees, 1u) << label;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -582,6 +583,143 @@ TEST(TreeBuildTest, MemoryBudgetTripsBuild) {
   EXPECT_TRUE(budget.hard_stopped());
   EXPECT_EQ(budget.stop_reason(), StopReason::kMemory);
   EXPECT_LT(tree.TimestampCount(), prepared.tree.TimestampCount());
+}
+
+// --- Rank lists: each top-level rank's sorted TS^item ----------------------
+
+/// The sorted merge of `rank`'s nodes' accumulated lists.
+TimestampList MergedNodeLists(const TsPrefixTree& tree, size_t rank) {
+  TimestampList merged;
+  for (uint32_t n = tree.RankBegin(rank); n < tree.RankEnd(rank); ++n) {
+    const std::span<const Timestamp> ts = tree.ListOf(n);
+    merged.insert(merged.end(), ts.begin(), ts.end());
+  }
+  std::sort(merged.begin(), merged.end());
+  return merged;
+}
+
+/// Every rank list equals its nodes' merged lists and TS^item of `db`
+/// restricted to timestamps >= `cutoff`.
+void ExpectRankListsExact(const TsPrefixTree& tree,
+                          const TransactionDatabase& db, Timestamp cutoff,
+                          const std::string& context) {
+  ASSERT_TRUE(tree.has_rank_lists()) << context;
+  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
+    EXPECT_EQ(tree.RankList(rank), MergedNodeLists(tree, rank))
+        << context << " rank " << rank;
+    TimestampList want = db.TimestampsOf({tree.ItemAtRank(rank)});
+    std::erase_if(want, [cutoff](Timestamp t) { return t < cutoff; });
+    EXPECT_EQ(tree.RankList(rank), want) << context << " rank " << rank;
+  }
+}
+
+TransactionDatabase RankListDb(uint64_t seed) {
+  testing::RandomDbSpec spec;
+  spec.num_items = 9;
+  spec.num_timestamps = 240;
+  spec.item_base_prob = 0.3;
+  return testing::MakeRandomDb(spec, seed);
+}
+
+TEST(RankListTest, PaperTreeListsAreEachItemsTimestamps) {
+  TsPrefixTree tree = BuildPaperTree();
+  EXPECT_FALSE(tree.has_rank_lists());  // A builder alone fills none.
+  // Table 1's candidate projections; item id = rank (A..F are 0..5).
+  const std::vector<Transaction> txns = {
+      {1, {A, B}},          {2, {A, C, D}},    {3, {A, B, E, F}},
+      {4, {A, B, C, D}},    {5, {C, D, E, F}}, {6, {E, F}},
+      {7, {A, B, C}},       {9, {C, D}},       {10, {C, D, E, F}},
+      {11, {A, B, E, F}},   {12, {A, B, C, D, E, F}},
+      {14, {A, B}},
+  };
+  tree.FillRankLists(txns, std::vector<uint32_t>{0, 1, 2, 3, 4, 5});
+  ASSERT_TRUE(tree.has_rank_lists());
+  EXPECT_EQ(tree.RankList(0), (TimestampList{1, 2, 3, 4, 7, 11, 12, 14}));
+  EXPECT_EQ(tree.RankList(1), (TimestampList{1, 3, 4, 7, 11, 12, 14}));
+  EXPECT_EQ(tree.RankList(2), (TimestampList{2, 4, 5, 7, 9, 10, 12}));
+  EXPECT_EQ(tree.RankList(3), (TimestampList{2, 4, 5, 9, 10, 12}));
+  EXPECT_EQ(tree.RankList(4), (TimestampList{3, 5, 6, 10, 11, 12}));
+  EXPECT_EQ(tree.RankList(5), (TimestampList{3, 5, 6, 10, 11, 12}));
+  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
+    EXPECT_EQ(tree.RankList(rank), MergedNodeLists(tree, rank));
+  }
+}
+
+TEST(RankListTest, RandomBuildsMatchMergedNodeLists) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    const TransactionDatabase db = RankListDb(seed);
+    RpParams params;
+    params.period = 2 + static_cast<Timestamp>(seed % 4);
+    params.min_ps = 1 + seed % 3;
+    params.min_rec = 1;
+    const PreparedMining prepared = PrepareMining(db, params);
+    ExpectRankListsExact(prepared.tree, db,
+                         std::numeric_limits<Timestamp>::min(),
+                         "seed " + std::to_string(seed));
+  }
+}
+
+TEST(RankListTest, RetireBeforeTrimsEachListsExpiredPrefix) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    const TransactionDatabase db = RankListDb(seed);
+    RpParams params;
+    params.period = 3;
+    params.min_ps = 1;
+    params.min_rec = 1;
+    const PreparedMining prepared = PrepareMining(db, params);
+    TsPrefixTree tree = prepared.tree.Clone();
+    // Cutoffs before, inside and past the stored timestamps.
+    const Timestamp span = db.end_ts() - db.start_ts();
+    for (Timestamp cutoff :
+         {db.start_ts() - 1, db.start_ts() + span / 3,
+          db.start_ts() + span / 2, db.end_ts(), db.end_ts() + 1}) {
+      const size_t bytes_before = tree.ApproxBytes();
+      tree.RetireBefore(cutoff);
+      const std::string context =
+          "seed " + std::to_string(seed) + " cutoff " + std::to_string(cutoff);
+      ExpectRankListsExact(tree, db, cutoff, context);
+      EXPECT_LE(tree.ApproxBytes(), bytes_before) << context;
+    }
+    EXPECT_EQ(tree.ApproxBytes(), 0u) << "seed " << seed;
+  }
+}
+
+TEST(RankListTest, CloneCopiesListsAndApproxBytesCountsThem) {
+  const TransactionDatabase db = BuildDb(3);
+  const PreparedMining prepared = PrepareMining(db, BuildDbParams());
+  const TsPrefixTree& tree = prepared.tree;
+  const TsPrefixTree clone = tree.Clone();
+  ASSERT_TRUE(clone.has_rank_lists());
+  size_t list_timestamps = 0;
+  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
+    EXPECT_EQ(clone.RankList(rank), tree.RankList(rank)) << "rank " << rank;
+    list_timestamps += tree.RankList(rank).size();
+  }
+  ASSERT_GT(list_timestamps, tree.TimestampCount());
+  EXPECT_EQ(clone.ApproxBytes(), tree.ApproxBytes());
+
+  // The same inserts sealed without rank lists: the footprints differ by
+  // exactly 8 bytes per rank-list timestamp.
+  std::vector<uint32_t> rank_of(db.ItemUniverseSize(), kNotCandidate);
+  for (uint32_t rank = 0; rank < prepared.items_by_rank.size(); ++rank) {
+    rank_of[prepared.items_by_rank[rank]] = rank;
+  }
+  TsPrefixTree::Builder builder(prepared.items_by_rank);
+  std::vector<uint32_t> ranks;
+  for (const Transaction& tr : db.transactions()) {
+    ranks.clear();
+    for (ItemId item : tr.items) {
+      if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
+    }
+    std::sort(ranks.begin(), ranks.end());
+    builder.InsertTransaction(ranks, tr.ts);
+  }
+  TsPrefixTree bare = std::move(builder).Seal();
+  EXPECT_EQ(Snapshot(bare), Snapshot(tree));
+  EXPECT_EQ(tree.ApproxBytes(),
+            bare.ApproxBytes() + list_timestamps * sizeof(Timestamp));
+  bare.FillRankLists(db.transactions(), rank_of);
+  EXPECT_EQ(bare.ApproxBytes(), tree.ApproxBytes());
 }
 
 // --- Differential layout test: sealed tree vs explicit push-up -------------
