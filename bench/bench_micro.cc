@@ -120,6 +120,52 @@ BENCHMARK(BM_MergeSortedRuns)
     ->Args({8, 1024})
     ->Args({512, 16});
 
+/// A set of about 4,096 timestamps filling its span at one timestamp per
+/// `slots_per_ts` slots, dealt at random into `k` sorted runs: the shape
+/// of TS^{beta+i} on a dense stream (a pattern base's paths partition a
+/// set).
+std::vector<TimestampList> MakeDenseSet(size_t k, uint64_t slots_per_ts) {
+  constexpr uint64_t kTimestamps = 4096;
+  Rng rng(29);
+  std::vector<TimestampList> lists(k);
+  for (uint64_t slot = 0; slot < kTimestamps * slots_per_ts; ++slot) {
+    if (rng.NextUint64(slots_per_ts) != 0) continue;
+    lists[rng.NextUint64(k)].push_back(static_cast<Timestamp>(slot));
+  }
+  return lists;
+}
+
+/// The merge kernel on dense sets with the bitmap union forced on
+/// (range(2) = 1) or off (0): range(0) = k runs, range(1) = slots per
+/// timestamp (1 = every slot filled, 128 = 1/128). Where the two cross
+/// sets the kernel's kBitmapMaxSlotsPerTimestamp; EXPERIMENTS.md, "Bitmap
+/// union", records the table.
+void BM_MergeDenseRange(benchmark::State& state) {
+  const std::vector<TimestampList> lists =
+      MakeDenseSet(static_cast<size_t>(state.range(0)),
+                   static_cast<uint64_t>(state.range(1)));
+  // Any limit above the sparsest density benched forces the bitmap on.
+  const uint64_t limit = state.range(2) != 0 ? 1024 : 0;
+  std::vector<TsRun> runs;
+  size_t total = 0;
+  for (const TimestampList& list : lists) {
+    AppendSortedRuns(list, &runs);
+    total += list.size();
+  }
+  MergeScratch scratch;
+  MergeCounters counters;
+  TimestampList out(total);
+  for (auto _ : state) {
+    MergeWithBitmapLimitInto(runs.data(), runs.size(), out.data(), &scratch,
+                             &counters, limit);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(total));
+}
+BENCHMARK(BM_MergeDenseRange)->ArgsProduct({{3, 8, 32},
+                                            {128, 64, 32, 16, 4, 1},
+                                            {0, 1}});
+
 /// The computation MergeSortedRuns replaced, on identical inputs.
 void BM_ConcatSortOracle(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -117,9 +117,12 @@ cmake --build build-tsan -j"${JOBS}" --target rp_growth_parallel_test \
 ./build-tsan/src/rpminer verify --faults=200 --seed=7
 
 echo "== stage 7: UBSan over the differential harness + fault campaign =="
+# The merge kernel's bitmap union indexes words by timestamp arithmetic
+# (unsigned span, INT64 extremes in its tests), so its suite runs here.
 cmake -B build-ubsan -S . -DRPM_SANITIZE=undefined \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target rpminer
+cmake --build build-ubsan -j"${JOBS}" --target rpminer ts_merge_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/ts_merge_test
 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-ubsan/src/rpminer verify --cases=200 --seed=7
 UBSAN_OPTIONS=halt_on_error=1 \
@@ -131,10 +134,12 @@ echo "== stage 8: AddressSanitizer over the parsers + fault campaign =="
 # surfaces here even when behavior looks clean. The SPMF loader walks raw
 # pointers over one input buffer, so the reader suites (including the
 # differential loader test and the garbage-input rounds) run here too.
-# The sealed RP-tree is index arithmetic into one timestamp slab, so the
+# The sealed RP-tree is index arithmetic into one timestamp slab, and its
+# builder holds borrowed pointers to InsertPath lists until Seal(), so the
 # tree suite (with its differential layout test) and the parallel miner
-# suite run here as well. A pattern base's sorted path lists point into a
-# per-frame slab and into the parent frame's accumulators, and a child
+# suite run here as well, and so does the merge kernel's suite, whose
+# bitmap union writes words indexed from timestamps. A pattern base's
+# sorted path lists point into a per-frame slab and into the parent frame's accumulators, and a child
 # level reads its TS^beta from those accumulators while it mines, so the
 # miner suite (with its fragmenting fixtures) runs here too. The walk
 # indexes fixed lane arrays and the count rule skips lists mid-frame, and
@@ -147,13 +152,14 @@ echo "== stage 8: AddressSanitizer over the parsers + fault campaign =="
 cmake -B build-asan -S . -DRPM_SANITIZE=address \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j"${JOBS}" --target rpminer io_test \
-      robustness_test rp_tree_test rp_growth_test rp_growth_parallel_test \
-      windowed_miner_test governance_test cli_test flags_test \
-      mining_flags_test serve_protocol_test
+      robustness_test rp_tree_test ts_merge_test rp_growth_test \
+      rp_growth_parallel_test windowed_miner_test governance_test \
+      cli_test flags_test mining_flags_test serve_protocol_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/io_test
 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/tests/robustness_test --gtest_filter='ParserRobustnessTest.*'
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_tree_test
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/ts_merge_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/rp_growth_parallel_test
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/windowed_miner_test

@@ -50,27 +50,28 @@ uint32_t TsPrefixTree::Builder::Descend(const std::vector<uint32_t>& ranks) {
   return node;
 }
 
-void TsPrefixTree::Builder::Record(uint32_t node,
-                                   std::span<const Timestamp> ts) {
-  if (ts.empty()) return;
-  if (!runs_.empty() && runs_.back().node == node) {
-    runs_.back().len += static_cast<uint32_t>(ts.size());
-  } else {
-    runs_.push_back({node, static_cast<uint32_t>(ts.size())});
-  }
-  own_ts_.insert(own_ts_.end(), ts.begin(), ts.end());
-}
-
 void TsPrefixTree::Builder::InsertTransaction(
     const std::vector<uint32_t>& ranks, Timestamp ts) {
   if (ranks.empty()) return;
-  Record(Descend(ranks), {&ts, 1});
+  const uint32_t node = Descend(ranks);
+  // Extend the last run only if it is this node's copied run and cannot
+  // wrap to 0, the borrowed-list mark.
+  if (!runs_.empty() && runs_.back().node == node && runs_.back().len != 0 &&
+      runs_.back().len != std::numeric_limits<uint32_t>::max()) {
+    ++runs_.back().len;
+  } else {
+    runs_.push_back({node, 1});
+  }
+  own_ts_.push_back(ts);
 }
 
 void TsPrefixTree::Builder::InsertPath(const std::vector<uint32_t>& ranks,
                                        std::span<const Timestamp> ts_list) {
   if (ranks.empty()) return;
-  Record(Descend(ranks), ts_list);
+  const uint32_t node = Descend(ranks);
+  if (ts_list.empty()) return;
+  runs_.push_back({node, 0});
+  borrowed_.push_back(ts_list);
 }
 
 TsPrefixTree::TsPrefixTree(std::vector<ItemId> items_by_rank)
@@ -151,9 +152,14 @@ TsPrefixTree TsPrefixTree::Builder::Seal() && {
       },
       [this](auto&& emit) {
         const Timestamp* ts = own_ts_.data();
+        const std::span<const Timestamp>* borrowed = borrowed_.data();
         for (const OwnRun& run : runs_) {
-          emit(run.node - 1, std::span<const Timestamp>(ts, run.len));
-          ts += run.len;
+          if (run.len == 0) {
+            emit(run.node - 1, *borrowed++);
+          } else {
+            emit(run.node - 1, std::span<const Timestamp>(ts, run.len));
+            ts += run.len;
+          }
         }
       });
   // The builder is spent; free its buffers now rather than when it leaves
@@ -161,6 +167,7 @@ TsPrefixTree TsPrefixTree::Builder::Seal() && {
   nodes_ = std::vector<Node>();
   runs_ = std::vector<OwnRun>();
   own_ts_ = TimestampList();
+  borrowed_ = std::vector<std::span<const Timestamp>>();
   return tree;
 }
 

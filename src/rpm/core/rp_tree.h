@@ -57,7 +57,9 @@ class TsPrefixTree {
   /// Mutable build phase (Algorithms 2-3 and conditional-tree
   /// construction). Nodes are 16-byte index records; each node's own
   /// timestamps are recorded in insertion order and only laid out by
-  /// Seal().
+  /// Seal(). A transaction's timestamp is copied into the builder; a
+  /// path's list is borrowed and copied once, straight into the sealed
+  /// slab.
   class Builder {
    public:
     /// `items_by_rank[r]` is the ItemId occupying rank r.
@@ -69,15 +71,19 @@ class TsPrefixTree {
     void InsertTransaction(const std::vector<uint32_t>& ranks, Timestamp ts);
 
     /// Inserts a whole prefix path carrying an accumulated ts-list
-    /// (conditional-tree construction). Lists of coinciding paths
-    /// concatenate in insertion order.
+    /// (conditional-tree construction). Lists of coinciding paths, and
+    /// transactions ending at the same node, concatenate in insertion
+    /// order. The builder records only where `ts_list` is: its storage
+    /// must stay valid and unchanged until Seal() returns.
     void InsertPath(const std::vector<uint32_t>& ranks,
                     std::span<const Timestamp> ts_list);
 
-    /// Bytes of the builder's node records and recorded timestamps.
+    /// Bytes of the builder's node records, recorded timestamps and
+    /// borrowed-list records (not the borrowed lists themselves).
     size_t ApproxBytes() const {
       return nodes_.size() * sizeof(Node) + runs_.size() * sizeof(OwnRun) +
-             own_ts_.size() * sizeof(Timestamp);
+             own_ts_.size() * sizeof(Timestamp) +
+             borrowed_.size() * sizeof(borrowed_[0]);
     }
 
     /// Lays the tree out in its sealed form and releases the builder's
@@ -94,7 +100,10 @@ class TsPrefixTree {
       uint32_t first_child = 0;  // 0 = none (the root is never a child).
       uint32_t next_sibling = 0;
     };
-    /// `len` timestamps of own_ts_, recorded at builder node `node`.
+    /// `len` timestamps of own_ts_, recorded at builder node `node`; a
+    /// `len` of 0 stands for the next list of borrowed_ instead. Runs are
+    /// kept in insertion order, so a node's copied and borrowed lists
+    /// keep their order too.
     struct OwnRun {
       uint32_t node = 0;
       uint32_t len = 0;
@@ -102,12 +111,12 @@ class TsPrefixTree {
 
     uint32_t Descend(const std::vector<uint32_t>& ranks);
     uint32_t GetOrCreateChild(uint32_t parent, uint32_t rank);
-    void Record(uint32_t node, std::span<const Timestamp> ts);
 
     std::vector<ItemId> items_by_rank_;
     std::vector<Node> nodes_;  // [0] is the root.
     std::vector<OwnRun> runs_;
     TimestampList own_ts_;
+    std::vector<std::span<const Timestamp>> borrowed_;  // InsertPath lists.
   };
 
   /// An empty tree over `items_by_rank`.

@@ -93,10 +93,14 @@ inline size_t ParallelFor(size_t num_items, size_t num_workers,
       }
     }
   };
+  // The spawn failpoint is consulted for every worker before any of them
+  // starts, so an injected spawn failure never races the failpoints the
+  // workers themselves hit (the seeded campaign replays from its seed).
+  size_t spawn = 1;
+  while (spawn < workers && !FailpointTriggered("threadpool.spawn")) ++spawn;
   std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (size_t w = 1; w < workers; ++w) {
-    if (FailpointTriggered("threadpool.spawn")) break;
+  threads.reserve(spawn - 1);
+  for (size_t w = 1; w < spawn; ++w) {
     try {
       threads.emplace_back(drain, w);
     } catch (const std::system_error&) {

@@ -1,6 +1,8 @@
 #include "rpm/core/ts_merge.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "rpm/common/logging.h"
 
@@ -17,6 +19,16 @@ constexpr int kMinGallop = 7;
 /// per-block heap rounds amortize; below this average run length the
 /// kernel concatenates and sorts instead (exactly the pre-kernel path).
 constexpr size_t kFragmentedAvgRunLen = 8;
+
+/// The bitmap union pays one pass over the span's 64-slot words on top of
+/// one pass over the runs, so it wins once the runs fill their span
+/// densely enough: at most this many slots of the span per timestamp.
+/// bench_micro's BM_MergeDenseRange (EXPERIMENTS.md, "Bitmap union"):
+/// against the comparison paths, 3 runs stay within about 20 % from 1 to
+/// 64 slots per timestamp and lose 1.5x at 128, while 8 and 32 runs still
+/// win 2.8x and 7x at 128. 64 slots, one bitmap word per timestamp, is
+/// the sparsest span at which no run count loses clearly.
+constexpr uint64_t kBitmapMaxSlotsPerTimestamp = 64;
 
 /// First index i in [0, n) with data[i] > key, found by exponential probing
 /// from the front then binary search inside the located bracket. O(log d)
@@ -96,6 +108,62 @@ Timestamp* MergeTwo(TsRun a, TsRun b, Timestamp* dst) {
   return dst;
 }
 
+/// Writes the sorted union of k >= 3 runs to [dst, dst + total) through a
+/// bitmap over their span [lo, hi] when the span holds at most
+/// `max_slots_per_ts` slots per timestamp: one OR pass over the runs and
+/// one pass over the words, whatever k. The words live in scratch->bits.
+/// Returns false, having written nothing to dst, when the span is too
+/// sparse or a timestamp repeats (a set bit seen twice: the bitmap cannot
+/// hold the duplicate the kernel's contract keeps).
+bool BitmapUnion(const std::vector<TsRun>& active, size_t total,
+                 uint64_t max_slots_per_ts, Timestamp* dst,
+                 MergeScratch* scratch) {
+  Timestamp lo = active[0].data[0];
+  Timestamp hi = active[0].data[active[0].size - 1];
+  for (const TsRun& run : active) {
+    lo = std::min(lo, run.data[0]);
+    hi = std::max(hi, run.data[run.size - 1]);
+  }
+  // Unsigned, so a span from INT64_MIN to INT64_MAX cannot overflow.
+  const uint64_t base = static_cast<uint64_t>(lo);
+  const uint64_t words = (static_cast<uint64_t>(hi) - base) / 64 + 1;
+  if (words > total * max_slots_per_ts / 64) return false;
+
+  std::vector<uint64_t>& bits = scratch->bits;
+  if (bits.size() < words) bits.resize(words);
+  std::fill_n(bits.begin(), words, uint64_t{0});
+  uint64_t* const map = bits.data();
+  for (const TsRun& run : active) {
+    // The current word stays in a register while consecutive timestamps
+    // share it: a load-OR-store per element would wait on the store
+    // before it every time.
+    uint64_t at = (static_cast<uint64_t>(run.data[0]) - base) / 64;
+    uint64_t word = map[at];
+    for (size_t i = 0; i < run.size; ++i) {
+      const uint64_t offset = static_cast<uint64_t>(run.data[i]) - base;
+      if (offset / 64 != at) {
+        map[at] = word;
+        at = offset / 64;
+        word = map[at];
+      }
+      const uint64_t bit = uint64_t{1} << (offset % 64);
+      if ((word & bit) != 0) return false;  // Duplicate timestamp.
+      word |= bit;
+    }
+    map[at] = word;
+  }
+
+  Timestamp* out = dst;
+  for (uint64_t w = 0; w < words; ++w) {
+    const uint64_t first = base + w * 64;
+    for (uint64_t word = map[w]; word != 0; word &= word - 1) {
+      *out++ = static_cast<Timestamp>(first + std::countr_zero(word));
+    }
+  }
+  RPM_DCHECK(out == dst + total);
+  return true;
+}
+
 }  // namespace
 
 void AppendSortedRuns(std::span<const Timestamp> ts,
@@ -122,6 +190,14 @@ void MergeSortedRuns(const TsRun* runs, size_t num_runs, TimestampList* out,
 Timestamp* MergeSortedRunsInto(const TsRun* runs, size_t num_runs,
                                Timestamp* dst, MergeScratch* scratch,
                                MergeCounters* counters) {
+  return MergeWithBitmapLimitInto(runs, num_runs, dst, scratch, counters,
+                                  kBitmapMaxSlotsPerTimestamp);
+}
+
+Timestamp* MergeWithBitmapLimitInto(const TsRun* runs, size_t num_runs,
+                                    Timestamp* dst, MergeScratch* scratch,
+                                    MergeCounters* counters,
+                                    uint64_t max_slots_per_ts) {
   ++counters->merge_invocations;
 
   // Compact away empty runs: every branch below writes exactly `total`
@@ -147,6 +223,7 @@ Timestamp* MergeSortedRunsInto(const TsRun* runs, size_t num_runs,
     MergeTwo(active[0], active[1], dst);
     return end;
   }
+  if (BitmapUnion(active, total, max_slots_per_ts, dst, scratch)) return end;
 
   // Fragmented inputs — many tiny runs (a sparse tree's nodes hold
   // few-timestamp own lists) — interleave too finely for any

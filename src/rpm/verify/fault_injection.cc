@@ -18,9 +18,8 @@ namespace rpm {
 namespace {
 
 /// SplitMix64 finalizer: the fire decision for hit n of a site is
-/// Mix(seed ^ site-hash ^ n) — a pure function of those three, so a trial
-/// replays from its seed (modulo worker interleaving on the parallel
-/// backend, which only permutes per-site hit indexes).
+/// Mix(seed ^ site-hash ^ n) — a pure function of those three (see the
+/// header for what that makes replayable under worker interleaving).
 uint64_t Mix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -83,6 +82,7 @@ bool FaultInjector::ShouldFail(const char* site) {
   if (!options_.site_filter.empty() && options_.site_filter != key) {
     return false;
   }
+  if (options_.max_fires != 0 && fires_ >= options_.max_fires) return false;
   bool fire;
   if (options_.fire_on_nth > 0) {
     fire = hit_index + 1 == options_.fire_on_nth;
@@ -129,6 +129,32 @@ struct TrialContext {
   size_t trial;
   std::string regime;
 };
+
+/// Injector options for armed operation `op` of `trial`: every operation
+/// draws from its own seed and fires at most one fault, so how far a
+/// faulted parallel mine got before its workers stopped cannot shift the
+/// fire decisions of the operations after it (fault_injection.h).
+FaultInjectionOptions OperationInjection(const FaultCampaignOptions& options,
+                                         size_t trial, uint64_t op) {
+  FaultInjectionOptions inject;
+  inject.seed = Mix(options.seed ^ (trial * 2654435761ull) ^
+                    (op * 0x9e3779b97f4a7c15ull));
+  inject.probability_ppm = options.probability_ppm;
+  inject.max_fires = 1;
+  return inject;
+}
+
+/// Runs `operation` (returns true when it recovered from a fault) armed
+/// with `inject`, and tallies it into `report`.
+template <typename Operation>
+void RunArmed(const FaultInjectionOptions& inject, FaultCampaignReport* report,
+              Operation operation) {
+  ScopedFaultInjection armed(inject);
+  ++report->faulted_operations;
+  if (operation()) ++report->clean_recoveries;
+  // Arm reset the counters, so these are this operation's own fires.
+  report->faults_injected += FaultInjector::Instance().fires();
+}
 
 void AddFailure(const TrialContext& ctx, const std::string& what) {
   std::string msg;
@@ -323,48 +349,38 @@ void CheckServeTrial(const TrialContext& ctx,
     ground_truth = *response;
   }
 
-  {
-    FaultInjectionOptions inject;
-    // Distinct stream from the engine-side armed scope of the same trial.
-    inject.seed = Mix(options.seed ^ (trial * 0x9e3779b97f4a7c15ull) ^ 1);
-    inject.probability_ppm = options.probability_ppm;
-    ScopedFaultInjection armed(inject);
-
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      ++report->faulted_operations;
+  // Armed attempts, each on its own seed (distinct from the engine-side
+  // operations of the same trial) over a fresh connection.
+  bool failed = false;
+  for (uint64_t attempt = 0; attempt < 3 && !failed; ++attempt) {
+    RunArmed(OperationInjection(options, trial, 4 + attempt), report, [&] {
       Result<serve::LineClient> client =
           serve::LineClient::Connect(server.port());
-      if (!client.ok()) {
-        // accept-side fault: connection refused/reset before use.
-        ++report->clean_recoveries;
-        continue;
-      }
-      if (!client->SendLine(request).ok()) {
-        ++report->clean_recoveries;  // Connection cut by a serve fault.
-        continue;
-      }
+      // accept-side fault: connection refused/reset before use.
+      if (!client.ok()) return true;
+      // Connection cut by a serve fault.
+      if (!client->SendLine(request).ok()) return true;
       Result<std::string> response = client->ReadLine(/*timeout_ms=*/10000);
       if (!response.ok()) {
         if (response.status().IsDeadlineExceeded()) {
           AddFailure(ctx, "serve: armed request hung (no response, no "
                           "close, within 10s)");
-          return;
+          failed = true;
+          return false;
         }
-        ++report->clean_recoveries;  // EOF: fault closed the connection.
-        continue;
+        return true;  // EOF: fault closed the connection.
       }
-      if (*response == ground_truth) continue;  // Clean completion.
-      if (IsStructuredResponse(*response)) {
-        ++report->clean_recoveries;  // Structured in-band failure.
-        continue;
-      }
+      if (*response == ground_truth) return false;  // Clean completion.
+      // Structured in-band failure.
+      if (IsStructuredResponse(*response)) return true;
       AddFailure(ctx, "serve: armed response is neither ground truth nor "
                       "a structured failure: " +
                           *response);
-      return;
-    }
-    report->faults_injected += FaultInjector::Instance().fires();
+      failed = true;
+      return false;
+    });
   }
+  if (failed) return;
 
   // Disarmed rerun: bit-identical bytes, and the server still serves.
   Result<serve::LineClient> client = serve::LineClient::Connect(server.port());
@@ -414,7 +430,6 @@ std::string FaultCampaignReport::ToString() const {
 
 FaultCampaignReport RunFaultCampaign(const FaultCampaignOptions& options) {
   FaultCampaignReport report;
-  FaultInjector& injector = FaultInjector::Instance();
   const ExecOptions parallel_exec{options.parallel_threads};
 
   for (size_t trial = 0; trial < options.trials; ++trial) {
@@ -460,39 +475,22 @@ FaultCampaignReport RunFaultCampaign(const FaultCampaignOptions& options) {
       }
       windowed_truth = std::move(run.ValueOrDie().patterns);
     }
-    size_t recoveries = 0;
-    {
-      FaultInjectionOptions inject;
-      inject.seed = Mix(options.seed ^ (trial * 2654435761ull));
-      inject.probability_ppm = options.probability_ppm;
-      ScopedFaultInjection armed(inject);
-
-      recoveries += CheckArmedRoundTrip(ctx, snapshot->db()) ? 1 : 0;
-      ++report.faulted_operations;
-      recoveries += CheckArmedQuery(ctx, session, governed,
-                                    BackendKind::kSequential, {}, truth)
-                        ? 1
-                        : 0;
-      ++report.faulted_operations;
-      recoveries += CheckArmedQuery(ctx, session, governed,
-                                    BackendKind::kParallel, parallel_exec,
-                                    truth)
-                        ? 1
-                        : 0;
-      ++report.faulted_operations;
-      if (windowed_ok) {
-        recoveries += CheckArmedQuery(ctx, session, windowed,
-                                      BackendKind::kWindowed, {},
-                                      windowed_truth)
-                          ? 1
-                          : 0;
-        ++report.faulted_operations;
-      }
-      // Counters were reset by this scope's Arm, so this is the trial's
-      // own fire count.
-      report.faults_injected += injector.fires();
+    RunArmed(OperationInjection(options, trial, 0), &report,
+             [&] { return CheckArmedRoundTrip(ctx, snapshot->db()); });
+    RunArmed(OperationInjection(options, trial, 1), &report, [&] {
+      return CheckArmedQuery(ctx, session, governed, BackendKind::kSequential,
+                             {}, truth);
+    });
+    RunArmed(OperationInjection(options, trial, 2), &report, [&] {
+      return CheckArmedQuery(ctx, session, governed, BackendKind::kParallel,
+                             parallel_exec, truth);
+    });
+    if (windowed_ok) {
+      RunArmed(OperationInjection(options, trial, 3), &report, [&] {
+        return CheckArmedQuery(ctx, session, windowed,
+                               BackendKind::kWindowed, {}, windowed_truth);
+      });
     }
-    report.clean_recoveries += recoveries;
 
     // Residue check on the same session, injector disarmed.
     CheckDisarmedRerun(ctx, session, plain, BackendKind::kSequential, {},

@@ -3,8 +3,15 @@
 // The injector is the high half of the failpoint framework: it installs a
 // process-wide handler (rpm/common/failpoint.h) and decides, per site hit,
 // whether that site simulates its failure. Decisions are a pure function
-// of (seed, site, per-site hit index), so a failing campaign trial replays
-// exactly from its seed.
+// of (seed, site, per-site hit index). Worker threads hit sites in a
+// schedule-dependent order, and once one fault stops a parallel mine the
+// other workers stop at schedule-dependent points, so the campaign arms
+// each operation on its own with at most one fault (max_fires = 1): an
+// operation then faults iff some site's firing index lies below that
+// site's hit count in a fault-free run, which no schedule changes. A
+// campaign thus replays its fault, operation and recovery counts exactly
+// from its seed; in a parallel mine with several eligible sites, which
+// one fires first may still differ between runs.
 //
 // Failpoint catalog (sites compiled into the library):
 //   rptree.alloc     — RP-tree node allocation throws std::bad_alloc
@@ -55,6 +62,9 @@ struct FaultInjectionOptions {
   /// When nonzero, fire deterministically on exactly the nth hit of each
   /// (filtered) site instead of probabilistically.
   uint64_t fire_on_nth = 0;
+  /// When nonzero, no site fires once this many faults have fired since
+  /// Arm (hits are still counted).
+  uint64_t max_fires = 0;
 };
 
 /// Process-wide seeded injector. Thread-safe (sites fire from mining
@@ -149,7 +159,8 @@ struct FaultCampaignReport {
 
 /// Runs `trials` deterministic fault trials: each generates a verify case,
 /// records disarmed ground truth, then runs I/O round-trips and
-/// sequential/parallel/windowed queries with the injector armed —
+/// sequential/parallel/windowed queries, each armed on its own seed with
+/// at most one fault —
 /// asserting every injected fault surfaces as a clean Status (or governed
 /// truncation) and that a disarmed rerun on the same session still matches
 /// ground truth (no poisoned planner cache).

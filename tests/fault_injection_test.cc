@@ -1,7 +1,8 @@
 // Tests for the seeded fault-injection framework (DESIGN.md §7.4): the
 // injector's fire decisions must be a pure function of (seed, site, hit
-// index) so any failing campaign trial replays exactly, and the campaign
-// driver itself must hold the library to its fault contract.
+// index), a campaign must print the same counts on every run of one seed
+// (parallel mines included), and the campaign driver itself must hold
+// the library to its fault contract.
 
 #include "rpm/verify/fault_injection.h"
 
@@ -141,6 +142,40 @@ TEST(FaultCampaignTest, CampaignIsDeterministicForASeed) {
   EXPECT_EQ(a.faulted_operations, b.faulted_operations);
   EXPECT_EQ(a.clean_recoveries, b.clean_recoveries);
   EXPECT_EQ(a.failures, b.failures);
+}
+
+TEST(FaultCampaignTest, ParallelFaultsReplayTheSameCountsFromTheSeed) {
+  // Seed 7's first 40 trials include faulted parallel mines: the first
+  // fault stops the other workers at schedule-dependent points, so how
+  // many hits follow it varies from run to run. With one armed scope per
+  // trial and no cap on fires, those hits fired further faults and
+  // shifted the fire decisions of the operations after them, and back-
+  // to-back runs printed different fault counts.
+  FaultCampaignOptions options;
+  options.trials = 40;
+  options.seed = 7;
+  const FaultCampaignReport first = RunFaultCampaign(options);
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  EXPECT_GT(first.faults_injected, 0u);
+  for (int run = 0; run < 2; ++run) {
+    const FaultCampaignReport again = RunFaultCampaign(options);
+    EXPECT_EQ(again.ToString(), first.ToString()) << "run " << run;
+  }
+}
+
+TEST(FaultInjectorTest, MaxFiresStopsFiringButKeepsCountingHits) {
+  FaultInjectionOptions options;
+  options.seed = 3;
+  options.probability_ppm = 1000000;  // Every hit would fire.
+  options.max_fires = 2;
+  ScopedFaultInjection armed(options);
+  FaultInjector& injector = FaultInjector::Instance();
+  EXPECT_TRUE(injector.ShouldFail("rptree.alloc"));
+  EXPECT_TRUE(injector.ShouldFail("io.read"));
+  EXPECT_FALSE(injector.ShouldFail("rptree.alloc"));
+  EXPECT_FALSE(injector.ShouldFail("worker.task"));
+  EXPECT_EQ(injector.fires(), 2u);
+  EXPECT_EQ(injector.hits(), 4u);
 }
 
 }  // namespace

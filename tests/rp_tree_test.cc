@@ -173,15 +173,43 @@ TEST(TsPrefixTreeTest, CollectedTimestampsCoverEachTransactionOnce) {
 }
 
 TEST(TsPrefixTreeTest, InsertPathMergesIdenticalPaths) {
+  // InsertPath borrows its list until Seal(), so the lists are named.
+  const TimestampList first = {5, 7};
+  const TimestampList second = {9};
   TsPrefixTree::Builder builder({10, 20});
-  builder.InsertPath({0, 1}, TimestampList{5, 7});
-  builder.InsertPath({0, 1}, TimestampList{9});
+  builder.InsertPath({0, 1}, first);
+  builder.InsertPath({0, 1}, second);
   const TsPrefixTree tree = std::move(builder).Seal();
   EXPECT_EQ(tree.NodeCount(), 2u);
   ASSERT_EQ(tree.RankEnd(1) - tree.RankBegin(1), 1u);
   const uint32_t node = tree.RankBegin(1);
   EXPECT_EQ(PathOf(tree, node), (std::vector<uint32_t>{0}));
   EXPECT_EQ(ListOf(tree, node), (TimestampList{5, 7, 9}));
+}
+
+TEST(TsPrefixTreeTest, CopiedAndBorrowedListsKeepInsertionOrderAtOneNode) {
+  // Transactions (copied) and paths (borrowed until Seal) ending at one
+  // node, alternately: the node's list is their concatenation in call
+  // order, and a transaction after a path starts a new copied run.
+  const TimestampList path_a = {20, 21};
+  const TimestampList path_b = {40};
+  const TimestampList path_c = {60, 61, 62};
+  TsPrefixTree::Builder builder({10, 20});
+  builder.InsertTransaction({0, 1}, 1);
+  builder.InsertTransaction({0, 1}, 2);
+  builder.InsertPath({0, 1}, path_a);
+  builder.InsertTransaction({0, 1}, 30);
+  builder.InsertPath({0, 1}, path_b);
+  builder.InsertPath({0, 1}, path_c);
+  builder.InsertTransaction({0}, 5);
+  builder.InsertTransaction({0, 1}, 70);
+  const TsPrefixTree tree = std::move(builder).Seal();
+  ASSERT_EQ(tree.NodeCount(), 2u);
+  const uint32_t leaf = tree.RankBegin(1);
+  EXPECT_EQ(ListOf(tree, leaf),
+            (TimestampList{1, 2, 20, 21, 30, 40, 60, 61, 62, 70}));
+  EXPECT_EQ(ListOf(tree, tree.RankBegin(0)),
+            (TimestampList{5, 1, 2, 20, 21, 30, 40, 60, 61, 62, 70}));
 }
 
 TEST(TsPrefixTreeTest, EmptyInsertIsNoOp) {
@@ -931,6 +959,32 @@ TEST(SealedLayoutTest, RandomPathsMatchExplicitPushUp) {
     const std::vector<InsertOp> ops = RandomPathOps(rng, num_ranks);
     auto [sealed, ref] = BuildBoth(ops, num_ranks, false);
     ExpectSameBottomUp(sealed, std::move(ref), "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SealedLayoutTest, RandomMixedInsertsMatchExplicitPushUp) {
+  // Half the non-empty lists go in as one copied transaction per
+  // timestamp, the rest as borrowed path lists (an empty list still
+  // creates its path's nodes), and repeated paths mix both at one node:
+  // every node's list keeps the call order.
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t num_ranks = 1 + rng() % 8;
+    const std::vector<InsertOp> ops = RandomPathOps(rng, num_ranks);
+    std::vector<ItemId> items(num_ranks);
+    for (size_t r = 0; r < num_ranks; ++r) items[r] = static_cast<ItemId>(r);
+    TsPrefixTree::Builder builder(items);
+    PushUpTree ref(num_ranks);
+    for (const InsertOp& op : ops) {
+      if (!op.ts.empty() && rng() % 2 == 0) {
+        for (Timestamp t : op.ts) builder.InsertTransaction(op.ranks, t);
+      } else {
+        builder.InsertPath(op.ranks, op.ts);
+      }
+      ref.Insert(op.ranks, op.ts);
+    }
+    ExpectSameBottomUp(std::move(builder).Seal(), std::move(ref),
+                       "seed " + std::to_string(seed));
   }
 }
 

@@ -3,10 +3,13 @@
 // (duplicates kept), for every run count / length / interleaving — the
 // miners rely on that equivalence for bit-identical pattern output. The
 // property tests drive the kernel through all of its internal regimes
-// (copy, adaptive two-run, fragmented introsort fallback, natural
-// mergesort rounds) against the concat+sort oracle.
+// (copy, adaptive two-run, bitmap union of dense sets, fragmented
+// introsort fallback, natural mergesort rounds) against the concat+sort
+// oracle.
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,19 +30,59 @@ TimestampList ConcatAndSort(const std::vector<TimestampList>& lists) {
   return all;
 }
 
-/// Splits every list into runs and merges them through a fresh scratch.
-TimestampList MergeLists(const std::vector<TimestampList>& lists,
-                         MergeCounters* counters = nullptr) {
+/// Splits every list into runs and merges them through `scratch`.
+TimestampList MergeWith(const std::vector<TimestampList>& lists,
+                        MergeScratch* scratch,
+                        MergeCounters* counters = nullptr) {
   std::vector<TsRun> runs;
   for (const TimestampList& list : lists) {
     AppendSortedRuns(list, &runs);
   }
-  MergeScratch scratch;
   MergeCounters local;
   TimestampList out;
-  MergeSortedRuns(runs.data(), runs.size(), &out, &scratch,
+  MergeSortedRuns(runs.data(), runs.size(), &out, scratch,
                   counters != nullptr ? counters : &local);
   return out;
+}
+
+/// Splits every list into runs and merges them through a fresh scratch.
+TimestampList MergeLists(const std::vector<TimestampList>& lists,
+                         MergeCounters* counters = nullptr) {
+  MergeScratch scratch;
+  return MergeWith(lists, &scratch, counters);
+}
+
+/// A set of timestamps drawn from [lo, lo + span) with the given chance
+/// per slot, dealt at random into `k` sorted runs — the shape of a pattern
+/// base's paths through one item. Every run gets at least one timestamp.
+std::vector<TimestampList> DealtSet(Rng* rng, size_t k, Timestamp lo,
+                                    uint64_t span, double density) {
+  std::vector<TimestampList> lists(k);
+  for (uint64_t slot = 0; slot < span; ++slot) {
+    if (!rng->NextBernoulli(density)) continue;
+    const Timestamp t =
+        static_cast<Timestamp>(static_cast<uint64_t>(lo) + slot);
+    lists[rng->NextUint64(k)].push_back(t);
+  }
+  for (size_t i = 0; i < k; ++i) {
+    if (!lists[i].empty()) continue;
+    // Borrow one timestamp from a list that can spare it.
+    for (TimestampList& donor : lists) {
+      if (donor.size() < 2) continue;
+      const size_t at = rng->NextUint64(donor.size());
+      lists[i].push_back(donor[at]);
+      donor.erase(donor.begin() + static_cast<ptrdiff_t>(at));
+      break;
+    }
+  }
+  return lists;
+}
+
+/// True when the last merge through `scratch` could only have taken the
+/// bitmap path: no other path touches the bitmap words, and a fresh
+/// scratch has none.
+bool TookBitmap(const MergeScratch& scratch) {
+  return !scratch.bits.empty();
 }
 
 TEST(AppendSortedRunsTest, EmptyListContributesNothing) {
@@ -260,6 +303,142 @@ TEST(MergeSortedRunsPropertyTest, EveryRunCountUpToSixtyFour) {
       lists.push_back(std::move(list));
     }
     EXPECT_EQ(MergeLists(lists), ConcatAndSort(lists)) << "k=" << k;
+  }
+}
+
+// --- Bitmap union of dense sets --------------------------------------------
+
+TEST(MergeSortedRunsBitmapTest, DenseSetsAcrossTheCrossoverMatchOracle) {
+  // Densities per slot from 1/128 to 1: the sparse side must keep the
+  // comparison paths, the dense side must take the bitmap, and both must
+  // match the oracle for every run count k = 3..64.
+  const double densities[] = {1.0 / 128, 1.0 / 96, 1.0 / 64, 1.0 / 48,
+                              1.0 / 32,  1.0 / 8,  0.5,      1.0};
+  Rng rng(311);
+  for (size_t k = 3; k <= 64; ++k) {
+    for (const double density : densities) {
+      const uint64_t span = 64 * 8 * k;
+      const Timestamp lo = static_cast<Timestamp>(rng.NextUint64(1000));
+      const std::vector<TimestampList> lists =
+          DealtSet(&rng, k, lo, span, density);
+      TimestampList want = ConcatAndSort(lists);
+      MergeScratch scratch;
+      MergeCounters counters;
+      EXPECT_EQ(MergeWith(lists, &scratch, &counters), want)
+          << "k=" << k << " density=" << density;
+      EXPECT_EQ(counters.timestamps_merged, want.size());
+      const uint64_t words =
+          static_cast<uint64_t>(want.back() - want.front()) / 64 + 1;
+      EXPECT_EQ(TookBitmap(scratch), words <= want.size())
+          << "k=" << k << " density=" << density;
+    }
+  }
+}
+
+TEST(MergeSortedRunsBitmapTest, DuplicatesFallBackAndAreKept) {
+  // Dense enough for the bitmap, but timestamps repeat across runs (and
+  // once inside a run): the kernel must fall back and keep every copy.
+  Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t k = 3 + rng.NextUint64(20);
+    std::vector<TimestampList> lists = DealtSet(&rng, k, -500, 1024, 0.7);
+    const size_t from = rng.NextUint64(k);
+    const size_t to = (from + 1 + rng.NextUint64(k - 1)) % k;
+    lists[to].push_back(lists[from][rng.NextUint64(lists[from].size())]);
+    std::sort(lists[to].begin(), lists[to].end());
+    if (trial % 2 == 0) {
+      lists[from].insert(lists[from].begin(), lists[from].front());
+    }
+    EXPECT_EQ(MergeLists(lists), ConcatAndSort(lists)) << "trial=" << trial;
+  }
+  EXPECT_EQ(MergeLists({{1, 2, 3}, {3, 4}, {0, 3, 5}}),
+            (TimestampList{0, 1, 2, 3, 3, 3, 4, 5}));
+}
+
+TEST(MergeSortedRunsBitmapTest, NegativeTimestampsMatchOracle) {
+  Rng rng(17);
+  for (const Timestamp lo : {Timestamp{-100000}, Timestamp{-700},
+                             Timestamp{-64}, Timestamp{-1}}) {
+    const std::vector<TimestampList> lists = DealtSet(&rng, 7, lo, 1400, 0.4);
+    MergeScratch scratch;
+    EXPECT_EQ(MergeWith(lists, &scratch), ConcatAndSort(lists))
+        << "lo=" << lo;
+    EXPECT_TRUE(TookBitmap(scratch)) << "lo=" << lo;
+  }
+}
+
+TEST(MergeSortedRunsBitmapTest, Int64ExtremesNeitherOverflowNorMisplace) {
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  // The whole int64 range: far too sparse, so the comparison paths run,
+  // and the span arithmetic must not overflow on the way.
+  const std::vector<TimestampList> whole = {
+      {kMin, -1, 5}, {kMin + 1, 0, kMax}, {-2, 7, kMax - 1}};
+  MergeScratch scratch;
+  EXPECT_EQ(MergeWith(whole, &scratch), ConcatAndSort(whole));
+  EXPECT_FALSE(TookBitmap(scratch));
+  // Dense sets at each end of the range take the bitmap.
+  Rng rng(23);
+  for (const Timestamp lo : {kMin, kMax - 999}) {
+    const std::vector<TimestampList> lists = DealtSet(&rng, 9, lo, 1000, 0.5);
+    MergeScratch at_end;
+    EXPECT_EQ(MergeWith(lists, &at_end), ConcatAndSort(lists))
+        << "lo=" << lo;
+    EXPECT_TRUE(TookBitmap(at_end)) << "lo=" << lo;
+  }
+  const std::vector<TimestampList> both_ends = {
+      {kMin, kMin + 2}, {kMin + 1}, {kMin + 3, kMin + 63}};
+  MergeScratch one_word;
+  EXPECT_EQ(MergeWith(both_ends, &one_word), ConcatAndSort(both_ends));
+  EXPECT_TRUE(TookBitmap(one_word));
+  EXPECT_EQ(MergeLists({{kMax - 2, kMax}, {kMax - 1}, {kMax - 5}}),
+            (TimestampList{kMax - 5, kMax - 2, kMax - 1, kMax}));
+}
+
+TEST(MergeSortedRunsBitmapTest, RunsWithinOneWord) {
+  // Spans of 1..64 slots, each one bitmap word, at several alignments.
+  for (const Timestamp lo : {Timestamp{0}, Timestamp{-64}, Timestamp{37},
+                             Timestamp{-5}}) {
+    for (Timestamp width = 3; width <= 64; ++width) {
+      std::vector<TimestampList> lists(3);
+      for (Timestamp t = 0; t < width; ++t) {
+        lists[static_cast<size_t>(t % 3)].push_back(lo + t);
+      }
+      MergeScratch scratch;
+      EXPECT_EQ(MergeWith(lists, &scratch), ConcatAndSort(lists))
+          << "lo=" << lo << " width=" << width;
+      EXPECT_TRUE(TookBitmap(scratch)) << "lo=" << lo << " width=" << width;
+    }
+  }
+}
+
+TEST(MergeSortedRunsBitmapTest, OneScratchServesEveryPathInBothOrders) {
+  // One input per path; a stale bitmap word, ping-pong slab or cursor
+  // from the previous call must never leak into the next one, whichever
+  // path ran before.
+  Rng rng(8);
+  std::vector<std::vector<TimestampList>> inputs;
+  inputs.push_back(DealtSet(&rng, 12, 100, 4000, 0.6));  // Bitmap, wide.
+  inputs.push_back({{4, 6, 9}});                        // Copy.
+  inputs.push_back({{1, 3, 5}, {2, 4, 6}});             // Two runs.
+  inputs.push_back({{1, 9}, {7}, {3, 4}, {2}});         // Fragmented sort.
+  inputs.push_back(RandomLists(&rng, 10, 60, 1 << 20));  // Mergesort.
+  inputs.push_back(DealtSet(&rng, 5, -40, 300, 0.9));   // Bitmap, narrow.
+  std::vector<TimestampList> duplicated = DealtSet(&rng, 6, 0, 640, 0.8);
+  duplicated[1].push_back(duplicated[0].back());
+  std::sort(duplicated[1].begin(), duplicated[1].end());
+  inputs.push_back(duplicated);  // Bitmap tried, falls back.
+  for (const bool reversed : {false, true}) {
+    MergeScratch scratch;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const size_t at = reversed ? inputs.size() - 1 - i : i;
+      for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(MergeWith(inputs[at], &scratch), ConcatAndSort(inputs[at]))
+            << "input=" << at << " reversed=" << reversed;
+      }
+    }
+    EXPECT_GE(scratch.ByteFootprint(),
+              scratch.bits.capacity() * sizeof(uint64_t));
   }
 }
 
