@@ -265,12 +265,15 @@ void BM_RpListScan(benchmark::State& state) {
 BENCHMARK(BM_RpListScan);
 
 /// One pass-2 build of `db` per iteration, through the same
-/// BuildRankedTree the miner runs, over the batch RP-list's candidates.
+/// BuildRankedTree the miner runs, over the batch RP-list's candidates, at
+/// state.range(0) threads.
 void TreeBuildLoop(benchmark::State& state, const TransactionDatabase& db,
                    const RpParams& params) {
   PreparedMining prepared = PrepareMining(db, params);
+  const size_t threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    TsPrefixTree tree = BuildRankedTree(db, prepared.items_by_rank);
+    TsPrefixTree tree =
+        BuildRankedTree(db, prepared.items_by_rank, nullptr, threads);
     benchmark::DoNotOptimize(tree.NodeCount());
   }
   state.counters["nodes"] = static_cast<double>(prepared.initial_tree_nodes);
@@ -286,7 +289,7 @@ void BM_TreeBuild(benchmark::State& state) {
   params.min_rec = 2;
   TreeBuildLoop(state, MidQuestDb(), params);
 }
-BENCHMARK(BM_TreeBuild);
+BENCHMARK(BM_TreeBuild)->Arg(1)->Arg(4);
 
 /// Dense side: a few thousand rows of a small burst-dominated tag universe
 /// (the shape of a windowed miner's per-delta sub-mine), so few, narrow
@@ -298,7 +301,7 @@ void BM_TreeBuildDense(benchmark::State& state) {
   params.min_rec = 1;
   TreeBuildLoop(state, SmallDenseDb(), params);
 }
-BENCHMARK(BM_TreeBuildDense);
+BENCHMARK(BM_TreeBuildDense)->Arg(1)->Arg(4);
 
 void BM_RpGrowthEndToEnd_Quest(benchmark::State& state) {
   const TransactionDatabase& db = MidQuestDb();

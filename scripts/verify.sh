@@ -96,9 +96,12 @@ echo "== stage 6: ThreadSanitizer on the parallel miner + query engine =="
 cmake -B build-tsan -S . -DRPM_SANITIZE=thread \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target rp_growth_parallel_test \
-      engine_test governance_test windowed_miner_test \
+      rp_tree_test engine_test governance_test windowed_miner_test \
       serve_server_test planner_stress_test rpminer
 ./build-tsan/tests/rp_growth_parallel_test
+# The partitioned tree build: builders filled on worker threads, sealed
+# as one tree, under budgets and failpoints.
+./build-tsan/tests/rp_tree_test
 # Concurrent QuerySession::Run over one shared snapshot/planner, and
 # concurrent mines (1- and 4-thread, stricter params, top-k descents
 # through both executors) of one cached sealed tree that nothing clones

@@ -1,6 +1,7 @@
 #include "rpm/core/rp_growth.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -8,6 +9,10 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "rpm/common/failpoint.h"
 #include "rpm/common/logging.h"
@@ -22,6 +27,24 @@ namespace {
 
 /// Nodes whose ancestor chains CollectAndMine walks in lockstep.
 constexpr uint32_t kWalkLanes = 16;
+
+/// Fewest candidate-item occurrences BuildRankedTree gives a partition of
+/// its own; a smaller build uses fewer partitions, since starting a thread
+/// costs more than it saves there (bench_micro BM_TreeBuildDense).
+constexpr uint64_t kMinPartitionOccurrences = 1 << 15;
+
+/// Most nodes BuildRankedTree reserves per partition up front (256 MB of
+/// address space): a partition's item occurrences bound its node count,
+/// but that bound is loose on dense data, and a huge reservation could be
+/// refused where the tree itself would fit.
+constexpr uint64_t kMaxReservedNodes = 1 << 24;
+
+/// Fewest bytes a split build's builders must have held for
+/// BuildRankedTree to hand the freed heap pages back to the OS: T10I4D100K's
+/// hold ~12.5 MB, and a 4-thread job then peaks ~7 MB lower; mine_dense's
+/// hold ~0.7 MB, and there the trim only costs later page faults
+/// (EXPERIMENTS.md, "Bucketed top-level build").
+constexpr size_t kTrimBuilderBytes = 4 << 20;
 
 /// One (prefix path, ts-list) element of a conditional pattern base. The
 /// ancestor ranks live in the owning frame's flat rank storage (no
@@ -697,7 +720,7 @@ void MineParallel(const TsPrefixTree& tree, const RpParams& params,
 
 PreparedMining PrepareMining(const TransactionDatabase& db,
                              const RpParams& params, PruningMode pruning,
-                             QueryBudget* budget) {
+                             QueryBudget* budget, size_t build_threads) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
   PreparedMining prepared;
   prepared.params = params;
@@ -738,7 +761,8 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 
   // Pass 2: RP-tree (Algorithms 2-3).
   phase.Restart();
-  prepared.tree = BuildRankedTree(db, prepared.items_by_rank, budget);
+  prepared.tree =
+      BuildRankedTree(db, prepared.items_by_rank, budget, build_threads);
   prepared.initial_tree_nodes = prepared.tree.NodeCount();
   prepared.tree_seconds = phase.ElapsedSeconds();
   return prepared;
@@ -746,7 +770,7 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 
 TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              const std::vector<ItemId>& items_by_rank,
-                             QueryBudget* budget, size_t /*ignored_threads*/) {
+                             QueryBudget* budget, size_t threads) {
   std::vector<uint32_t> rank_of(db.ItemUniverseSize(), kNotCandidate);
   for (uint32_t rank = 0; rank < items_by_rank.size(); ++rank) {
     RPM_CHECK(items_by_rank[rank] < rank_of.size() &&
@@ -754,35 +778,145 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
         << "invalid candidate order";
     rank_of[items_by_rank[rank]] = rank;
   }
-  TsPrefixTree::Builder builder(items_by_rank);
-  BudgetCheckpointer checkpoint(budget);
-  size_t reported_bytes = 0;
-  std::vector<uint32_t> ranks;
-  size_t inserted = 0;
-  for (const Transaction& tr : db.transactions()) {
-    if (checkpoint.Check()) break;  // Partial build; the caller discards.
-    ++inserted;
-    ranks.clear();
-    for (ItemId item : tr.items) {
-      if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
-    }
-    std::sort(ranks.begin(), ranks.end());
-    builder.InsertTransaction(ranks, tr.ts);
-    if (budget != nullptr) {
-      const size_t now = builder.ApproxBytes();
-      if (now > reported_bytes) {
-        budget->AddTrackedBytes(now - reported_bytes);  // May trip memory.
-        reported_bytes = now;
+  const std::span<const Transaction> txns = db.transactions();
+  RPM_CHECK(txns.size() < kNotCandidate) << "too many transactions";
+  const size_t nranks = items_by_rank.size();
+
+  // Counting pass: a transaction lands in the root subtree of its first
+  // (lowest) candidate rank, so bucket the transactions by it, stably —
+  // each bucket keeps ts order, hence every node's own list stays sorted.
+  std::vector<uint32_t> bucket_begin(nranks + 1, 0);
+  std::vector<uint64_t> occurrences(nranks, 0);
+  std::vector<uint32_t> order;
+  {
+    std::vector<uint32_t> first_rank(txns.size());
+    for (size_t t = 0; t < txns.size(); ++t) {
+      uint32_t first = kNotCandidate;
+      uint32_t held = 0;
+      for (ItemId item : txns[t].items) {
+        // Branch-free: kNotCandidate is the largest rank value.
+        const uint32_t rank = rank_of[item];
+        first = std::min(first, rank);
+        held += rank != kNotCandidate;
       }
+      first_rank[t] = first;
+      if (first == kNotCandidate) continue;
+      ++bucket_begin[first + 1];
+      occurrences[first] += held;
+    }
+    for (size_t r = 0; r < nranks; ++r) bucket_begin[r + 1] += bucket_begin[r];
+    order.resize(bucket_begin[nranks]);
+    std::vector<uint32_t> fill(bucket_begin.begin(), bucket_begin.end() - 1);
+    for (uint32_t t = 0; t < txns.size(); ++t) {
+      if (first_rank[t] != kNotCandidate) order[fill[first_rank[t]]++] = t;
     }
   }
+
+  // LPT split of the non-empty buckets by item occurrences: heaviest
+  // first, each to the lightest partition so far. Any split seals to the
+  // same tree; it only sets how the work spreads over threads.
+  std::vector<uint32_t> buckets;
+  uint64_t total = 0;
+  for (uint32_t r = 0; r < nranks; ++r) {
+    if (occurrences[r] == 0) continue;
+    buckets.push_back(r);
+    total += occurrences[r];
+  }
+  std::stable_sort(buckets.begin(), buckets.end(), [&](uint32_t a, uint32_t b) {
+    return occurrences[a] > occurrences[b];
+  });
+  const size_t num_parts = std::max<size_t>(
+      1, std::min({ResolveThreadCount(threads), buckets.size(),
+                   static_cast<size_t>(total / kMinPartitionOccurrences)}));
+  std::vector<std::vector<uint32_t>> part_buckets(num_parts);
+  std::vector<uint64_t> load(num_parts, 0);
+  for (uint32_t bucket : buckets) {
+    const size_t p = std::min_element(load.begin(), load.end()) - load.begin();
+    part_buckets[p].push_back(bucket);
+    load[p] += occurrences[bucket];
+  }
+
+  // Each partition fills its own builder with whole buckets and records,
+  // per transaction, the nodes its insert created: Seal orders the nodes
+  // by those ranges in ts order, which is the first-touch order of one
+  // builder inserting every transaction in ts order.
+  std::vector<TsPrefixTree::Builder> parts(
+      num_parts, TsPrefixTree::Builder(items_by_rank));
+  // Reserved on this thread, at sizes the build does not exceed (a
+  // transaction creates at most one node per candidate item it holds), so
+  // the builders do not reallocate and their buffers come from this
+  // thread's allocator arena: memory a worker thread allocates stays cached
+  // in that thread's arena after it is freed (EXPERIMENTS.md, "Bucketed
+  // top-level build").
+  for (size_t p = 0; p < num_parts; ++p) {
+    size_t inserts = 0;
+    for (uint32_t bucket : part_buckets[p]) {
+      inserts += bucket_begin[bucket + 1] - bucket_begin[bucket];
+    }
+    parts[p].Reserve(std::min(load[p], kMaxReservedNodes), inserts);
+  }
+  std::vector<TsPrefixTree::CreatedNodes> created(txns.size());
+  std::vector<size_t> reported_bytes(num_parts, 0);
+  std::atomic<bool> stopped{false};
+  ParallelFor(num_parts, num_parts, [&](size_t, size_t p) {
+    TsPrefixTree::Builder& builder = parts[p];
+    BudgetCheckpointer checkpoint(budget);
+    std::vector<uint32_t> ranks;
+    for (uint32_t bucket : part_buckets[p]) {
+      for (uint32_t k = bucket_begin[bucket]; k < bucket_begin[bucket + 1];
+           ++k) {
+        if (checkpoint.Check()) {  // Partial build; the caller discards.
+          stopped.store(true, std::memory_order_relaxed);
+          return;
+        }
+        const uint32_t t = order[k];
+        ranks.clear();
+        for (ItemId item : txns[t].items) {
+          if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
+        }
+        std::sort(ranks.begin(), ranks.end());
+        const uint32_t first = builder.num_nodes();
+        builder.InsertTransaction(ranks, txns[t].ts);
+        created[t] = {static_cast<uint32_t>(p), first,
+                      builder.num_nodes() - first};
+        if (budget != nullptr) {
+          const size_t now = builder.ApproxBytes();
+          if (now > reported_bytes[p]) {
+            // May trip memory.
+            budget->AddTrackedBytes(now - reported_bytes[p]);
+            reported_bytes[p] = now;
+          }
+        }
+      }
+    }
+  });
+  // Only the creation ranges live on into Seal.
+  order = std::vector<uint32_t>();
+  part_buckets = std::vector<std::vector<uint32_t>>();
   // Net the build-time accounting back out (the peak was captured); the
   // caller re-tracks the finished tree for its mining phase.
-  if (budget != nullptr) budget->ReleaseTrackedBytes(reported_bytes);
-  TsPrefixTree tree = std::move(builder).Seal();
-  // Second projection pass, after the builder's buffers are freed, so the
+  if (budget != nullptr) {
+    budget->ReleaseTrackedBytes(std::accumulate(
+        reported_bytes.begin(), reported_bytes.end(), size_t{0}));
+  }
+  size_t builder_bytes = 0;
+  for (const TsPrefixTree::Builder& part : parts) {
+    builder_bytes += part.ApproxBytes();
+  }
+  TsPrefixTree tree = TsPrefixTree::SealParts(parts, created);
+  created = std::vector<TsPrefixTree::CreatedNodes>();
+  // A stopped build skipped transactions all through the ts order, so it
+  // has no rank lists; it is returned only for accounting.
+  if (stopped.load(std::memory_order_relaxed)) return tree;
+  // Second projection pass, after the builders' buffers are freed, so the
   // rank lists never coexist with them.
-  tree.FillRankLists(std::span(db.transactions()).first(inserted), rank_of);
+  tree.FillRankLists(txns, rank_of);
+#if defined(__GLIBC__)
+  // Several builders free their buffers into the middle of this thread's
+  // heap, below the sealed tree, where glibc keeps the pages and a parallel
+  // mine's per-thread arenas cannot reuse them: give a large hole back.
+  if (num_parts > 1 && builder_bytes >= kTrimBuilderBytes) malloc_trim(0);
+#endif
   return tree;
 }
 
@@ -844,8 +978,8 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
                                      const RpParams& params,
                                      const RpGrowthOptions& options) {
   Stopwatch total;
-  PreparedMining prepared =
-      PrepareMining(db, params, options.pruning, options.budget);
+  PreparedMining prepared = PrepareMining(db, params, options.pruning,
+                                          options.budget, options.num_threads);
   if (options.budget != nullptr && options.budget->hard_stopped()) {
     // The build itself was stopped; a partial tree must never be mined
     // (its ts-lists are incomplete, not a subproblem prefix).

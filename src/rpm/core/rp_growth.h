@@ -196,10 +196,13 @@ struct PreparedMining {
 /// (optional) checkpoints both scans and accounts tree bytes while
 /// building; on a hard stop the returned build is partial and must be
 /// discarded, never cached (check budget->hard_stopped()).
+/// `build_threads` (0 = one per hardware thread) is BuildRankedTree's
+/// thread count: it changes the build's speed only, never the tree.
 PreparedMining PrepareMining(const TransactionDatabase& db,
                              const RpParams& params,
                              PruningMode pruning = PruningMode::kErec,
-                             QueryBudget* budget = nullptr);
+                             QueryBudget* budget = nullptr,
+                             size_t build_threads = 1);
 
 /// Pass 2 only: builds and seals the RP-tree of `db` over an externally
 /// supplied candidate order (every id in `items_by_rank` distinct and <
@@ -207,18 +210,22 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 /// candidate order; callers that time the tree build on its own (benches)
 /// pass the same order from a prepared build.
 /// With a budget, the build checkpoints per transaction and reports the
-/// builder's growing bytes (released again before returning — the caller
+/// builders' growing bytes (released again before returning — the caller
 /// re-tracks the finished tree for the mining phase); a stopped build
-/// returns a partial tree the caller must discard.
+/// returns a partial tree without rank lists, which the caller must
+/// discard.
 ///
-/// The build is sequential: move-to-front sibling lists (rp_tree.h) make
-/// it cheaper than any partition-and-fold scheme measured (EXPERIMENTS.md).
-/// `ignored_threads` is accepted for source compatibility with callers
-/// that still pass a thread count and has no effect.
+/// The build buckets the transactions by first candidate rank (root
+/// subtrees share no node), splits the buckets over min(threads, buckets)
+/// partitions by item occurrences, fills one builder per partition —
+/// concurrently when `threads` (0 = one per hardware thread) allows — and
+/// seals them as one tree in first-touch order (rp_tree.h). The thread
+/// count changes the build's speed only: the sealed tree is byte-identical
+/// at every count.
 TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              const std::vector<ItemId>& items_by_rank,
                              QueryBudget* budget = nullptr,
-                             size_t ignored_threads = 1);
+                             size_t threads = 1);
 
 /// Pass 3 (bottom-up mining) over `tree`, which is only read, so
 /// concurrent calls may share it. `tree` must be `prepared.tree` (or a

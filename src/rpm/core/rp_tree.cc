@@ -14,6 +14,12 @@ namespace rpm {
 TsPrefixTree::Builder::Builder(std::vector<ItemId> items_by_rank)
     : items_by_rank_(std::move(items_by_rank)), nodes_(1) {}
 
+void TsPrefixTree::Builder::Reserve(size_t nodes, size_t inserts) {
+  nodes_.reserve(nodes_.size() + nodes);
+  runs_.reserve(runs_.size() + inserts);
+  own_ts_.reserve(own_ts_.size() + inserts);
+}
+
 uint32_t TsPrefixTree::Builder::GetOrCreateChild(uint32_t parent,
                                                  uint32_t rank) {
   // Move-to-front: a found child is relinked at the head of its sibling
@@ -78,27 +84,24 @@ TsPrefixTree::TsPrefixTree(std::vector<ItemId> items_by_rank)
     : items_by_rank_(std::move(items_by_rank)),
       rank_begin_(items_by_rank_.size() + 1, 0) {}
 
-template <typename LinkAt, typename ForEachOwn>
-void TsPrefixTree::Layout(size_t num_nodes, LinkAt link_at,
+template <typename ForEachLink, typename ForEachOwn>
+void TsPrefixTree::Layout(size_t num_nodes, ForEachLink for_each_link,
                           ForEachOwn for_each_own) {
   const size_t nranks = items_by_rank_.size();
-  // Counting sort by rank, stable in creation order: each rank's nodes
-  // come out in chain order.
+  // Counting sort by rank, stable in chain order. A parent is visited
+  // before its children, so its sealed index is known when they are placed.
   rank_begin_.assign(nranks + 1, 0);
-  for (size_t i = 0; i < num_nodes; ++i) ++rank_begin_[link_at(i).rank + 1];
+  for_each_link([&](size_t, Link link) { ++rank_begin_[link.rank + 1]; });
   for (size_t r = 0; r < nranks; ++r) rank_begin_[r + 1] += rank_begin_[r];
   std::vector<uint32_t> index_of(num_nodes);
   std::vector<uint32_t> cursor(rank_begin_.begin(), rank_begin_.end() - 1);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    index_of[i] = cursor[link_at(i).rank]++;
-  }
   links_.resize(num_nodes);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    const Link link = link_at(i);
-    links_[index_of[i]] = {
-        link.parent == kNoParent ? kNoParent : index_of[link.parent],
-        link.rank};
-  }
+  for_each_link([&](size_t i, Link link) {
+    const uint32_t n = cursor[link.rank]++;
+    index_of[i] = n;
+    links_[n] = {link.parent == kNoParent ? kNoParent : index_of[link.parent],
+                 link.rank};
+  });
 
   // Accumulated lengths, children before parents: a child's rank, hence
   // its index, is always higher than its parent's.
@@ -140,34 +143,83 @@ void TsPrefixTree::Layout(size_t num_nodes, LinkAt link_at,
   });
 }
 
-TsPrefixTree TsPrefixTree::Builder::Seal() && {
-  TsPrefixTree tree(std::move(items_by_rank_));
-  // Builder node b (b >= 1) is creation index b - 1; the root is not laid
-  // out.
-  tree.Layout(
-      nodes_.size() - 1,
-      [this](size_t i) {
-        const Node& n = nodes_[i + 1];
-        return Link{n.parent == 0 ? kNoParent : n.parent - 1, n.rank};
-      },
-      [this](auto&& emit) {
-        const Timestamp* ts = own_ts_.data();
-        const std::span<const Timestamp>* borrowed = borrowed_.data();
-        for (const OwnRun& run : runs_) {
-          if (run.len == 0) {
-            emit(run.node - 1, *borrowed++);
-          } else {
-            emit(run.node - 1, std::span<const Timestamp>(ts, run.len));
-            ts += run.len;
-          }
-        }
-      });
+template <typename Emit>
+void TsPrefixTree::Builder::ForEachOwn(size_t base, Emit&& emit) const {
+  const Timestamp* ts = own_ts_.data();
+  const std::span<const Timestamp>* borrowed = borrowed_.data();
+  for (const OwnRun& run : runs_) {
+    const size_t i = base + run.node - 1;
+    if (run.len == 0) {
+      emit(i, *borrowed++);
+    } else {
+      emit(i, std::span<const Timestamp>(ts, run.len));
+      ts += run.len;
+    }
+  }
+}
+
+void TsPrefixTree::Builder::Release() {
   // The builder is spent; free its buffers now rather than when it leaves
   // scope, which for a conditional tree is after the recursion below it.
   nodes_ = std::vector<Node>();
   runs_ = std::vector<OwnRun>();
   own_ts_ = TimestampList();
   borrowed_ = std::vector<std::span<const Timestamp>>();
+}
+
+TsPrefixTree TsPrefixTree::Builder::Seal() && {
+  TsPrefixTree tree(std::move(items_by_rank_));
+  // Builder node b (b >= 1) is creation index b - 1; the root is not laid
+  // out.
+  tree.Layout(
+      nodes_.size() - 1,
+      [this](auto&& visit) {
+        for (uint32_t b = 1; b < nodes_.size(); ++b) {
+          const Node& n = nodes_[b];
+          visit(b - 1, Link{n.parent == 0 ? kNoParent : n.parent - 1, n.rank});
+        }
+      },
+      [this](auto&& emit) { ForEachOwn(0, emit); });
+  Release();
+  return tree;
+}
+
+TsPrefixTree TsPrefixTree::SealParts(
+    std::span<Builder> parts, std::span<const CreatedNodes> first_touch) {
+  RPM_CHECK(!parts.empty());
+  // Part p's builder node b (b >= 1) is layout input base[p] + b - 1.
+  std::vector<size_t> base(parts.size() + 1, 0);
+  for (size_t p = 0; p < parts.size(); ++p) {
+    RPM_DCHECK(parts[p].items_by_rank_ == parts[0].items_by_rank_);
+    base[p + 1] = base[p] + parts[p].nodes_.size() - 1;
+  }
+  size_t listed = 0;
+  for (const CreatedNodes& created : first_touch) listed += created.count;
+  RPM_CHECK(listed == base.back())
+      << "first-touch order lists " << listed << " of " << base.back()
+      << " nodes";
+  RPM_CHECK(base.back() < kNoParent) << "RP-tree node index overflow";
+  TsPrefixTree tree(std::move(parts[0].items_by_rank_));
+  tree.Layout(
+      base.back(),
+      [&](auto&& visit) {
+        for (const CreatedNodes& created : first_touch) {
+          const std::vector<Builder::Node>& nodes = parts[created.part].nodes_;
+          const uint32_t at = static_cast<uint32_t>(base[created.part]);
+          for (uint32_t b = created.first; b < created.first + created.count;
+               ++b) {
+            const Builder::Node& n = nodes[b];
+            visit(at + b - 1,
+                  Link{n.parent == 0 ? kNoParent : at + n.parent - 1, n.rank});
+          }
+        }
+      },
+      [&](auto&& emit) {
+        for (size_t p = 0; p < parts.size(); ++p) {
+          parts[p].ForEachOwn(base[p], emit);
+        }
+      });
+  for (Builder& part : parts) part.Release();
   return tree;
 }
 
@@ -249,11 +301,13 @@ TsPrefixTree::RetireStats TsPrefixTree::RetireBefore(Timestamp cutoff) {
   // stable counting sort preserves.
   Layout(
       survivors.size(),
-      [&](size_t i) {
-        const Link& link = old_links[survivors[i]];
-        return Link{link.parent == kNoParent ? kNoParent
-                                             : survivor_of[link.parent],
-                    link.rank};
+      [&](auto&& visit) {
+        for (size_t i = 0; i < survivors.size(); ++i) {
+          const Link& link = old_links[survivors[i]];
+          visit(i, Link{link.parent == kNoParent ? kNoParent
+                                                 : survivor_of[link.parent],
+                        link.rank});
+        }
       },
       [&](auto&& emit) {
         for (size_t i = 0; i < survivors.size(); ++i) {

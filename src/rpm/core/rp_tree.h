@@ -9,14 +9,24 @@
 //
 // A tree is built with TsPrefixTree::Builder and then sealed into an
 // immutable, rank-major form. Sealing counting-sorts the nodes by rank
-// (creation order within a rank, i.e. node-link chain order) and lays every
-// timestamp out in ONE slab in pre-order: a node's own list first, then its
-// children's subtrees in descending rank. Ranks are mined in descending
-// order and siblings have distinct ranks, so the list Lemma 3's push-up
-// would have built by the time a node's rank is mined is exactly the node's
-// slab range. Push-up is therefore implicit: mining reads the sealed tree
-// and never changes it, so any number of miners (parallel workers,
+// (first-touch order within a rank, i.e. node-link chain order) and lays
+// every timestamp out in ONE slab in pre-order: a node's own list first,
+// then its children's subtrees in descending rank. Ranks are mined in
+// descending order and siblings have distinct ranks, so the list Lemma 3's
+// push-up would have built by the time a node's rank is mined is exactly the
+// node's slab range. Push-up is therefore implicit: mining reads the sealed
+// tree and never changes it, so any number of miners (parallel workers,
 // concurrent queries over one cached build) can share one tree.
+//
+// A top-level tree is built one first-rank bucket at a time: a
+// transaction only touches the root subtree of its lowest rank, and root
+// subtrees share no node, so several builders may each fill whole buckets
+// (on separate threads) and SealParts lays them out as one tree. Chain
+// order stays first-touch order over the transactions in ts order — what a
+// single builder inserting them one by one would create — because each
+// builder records which nodes every insert created, and sealing orders the
+// nodes by (creating transaction, creation). The sealed tree is therefore
+// the same whatever the split.
 //
 // A top-level tree also carries each rank's sorted TS^item (RankList),
 // filled after sealing by one projection pass over the transactions, so the
@@ -39,7 +49,7 @@ namespace rpm {
 
 /// Sealed prefix tree keyed by item *rank* (0 = first item of the tree's
 /// order). Nodes are addressed by dense indices, grouped by rank: the
-/// nodes of rank r are [RankBegin(r), RankEnd(r)), in chain (creation)
+/// nodes of rank r are [RankBegin(r), RankEnd(r)), in chain (first-touch)
 /// order. Immutable except for FillRankLists and RetireBefore; not
 /// implicitly copyable.
 class TsPrefixTree {
@@ -67,8 +77,18 @@ class TsPrefixTree {
 
     /// Inserts one transaction: `ranks` sorted ascending, duplicate-free.
     /// Records `ts` at the deepest node (Algorithm 3). No-op for an empty
-    /// rank set.
+    /// rank set. The nodes the insert creates are the next ones in
+    /// creation order: [num_nodes() before, num_nodes() after).
     void InsertTransaction(const std::vector<uint32_t>& ranks, Timestamp ts);
+
+    /// Reserves room for `nodes` more nodes and `inserts` more
+    /// InsertTransaction calls, so the buffers are allocated once.
+    void Reserve(size_t nodes, size_t inserts);
+
+    /// Nodes created so far, counting the root as node 0.
+    uint32_t num_nodes() const {
+      return static_cast<uint32_t>(nodes_.size());
+    }
 
     /// Inserts a whole prefix path carrying an accumulated ts-list
     /// (conditional-tree construction). Lists of coinciding paths, and
@@ -86,14 +106,17 @@ class TsPrefixTree {
              borrowed_.size() * sizeof(borrowed_[0]);
     }
 
-    /// Lays the tree out in its sealed form and releases the builder's
-    /// buffers. O(nodes + timestamps).
+    /// Lays the tree out in its sealed form, chains in creation order, and
+    /// releases the builder's buffers. O(nodes + timestamps).
     TsPrefixTree Seal() &&;
 
    private:
+    friend class TsPrefixTree;
+
     /// Children form a singly-linked sibling list kept in access order:
     /// inserts move the child they step through to the front. Nothing
-    /// reads sibling order (DESIGN.md §8.3); chain order is creation order.
+    /// reads sibling order (DESIGN.md §8.3); chain order is first-touch
+    /// order (Seal: creation order; SealParts: the recorded ranges).
     struct Node {
       uint32_t rank = 0;
       uint32_t parent = 0;
@@ -112,12 +135,37 @@ class TsPrefixTree {
     uint32_t Descend(const std::vector<uint32_t>& ranks);
     uint32_t GetOrCreateChild(uint32_t parent, uint32_t rank);
 
+    /// Calls emit(base + node - 1, timestamps) for every run, in insertion
+    /// order: builder node b >= 1 is layout input base + b - 1.
+    template <typename Emit>
+    void ForEachOwn(size_t base, Emit&& emit) const;
+    void Release();
+
     std::vector<ItemId> items_by_rank_;
     std::vector<Node> nodes_;  // [0] is the root.
     std::vector<OwnRun> runs_;
     TimestampList own_ts_;
     std::vector<std::span<const Timestamp>> borrowed_;  // InsertPath lists.
   };
+
+  /// The nodes one top-level insert created: builder `part`'s nodes
+  /// [first, first + count), in creation order.
+  struct CreatedNodes {
+    uint32_t part = 0;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+
+  /// Seals builders over one candidate order whose root subtrees are
+  /// disjoint (each holds whole first-rank buckets of one transaction set)
+  /// into one tree; nothing is merged. `first_touch` names every non-root
+  /// node of every part exactly once, in the order one builder inserting
+  /// the same transactions in ts order would have created them (entries
+  /// with count 0 are skipped), and that order becomes chain order. Own
+  /// lists keep each part's insertion order. Releases the builders'
+  /// buffers. O(nodes + timestamps + first_touch entries).
+  static TsPrefixTree SealParts(std::span<Builder> parts,
+                                std::span<const CreatedNodes> first_touch);
 
   /// An empty tree over `items_by_rank`.
   explicit TsPrefixTree(std::vector<ItemId> items_by_rank);
@@ -204,13 +252,16 @@ class TsPrefixTree {
 
   TsPrefixTree(const TsPrefixTree&) = default;
 
-  /// The one sealing routine, shared by Builder::Seal and RetireBefore.
-  /// `link_at(i)` gives node i's parent (an input index < i, or kNoParent)
-  /// and rank, for nodes i in creation order; `for_each_own(emit)` calls
+  /// The one sealing routine, shared by Builder::Seal, SealParts and
+  /// RetireBefore. `for_each_link(visit)` calls visit(i, link) once for
+  /// every input node i in [0, num_nodes), in chain order, where link
+  /// holds i's rank and its parent's input index (or kNoParent), and a
+  /// parent is visited before its children; `for_each_own(emit)` calls
   /// emit(i, timestamps) for each node's own timestamps, in insertion
   /// order per node. Replaces links_, spans_, slab_ and rank_begin_.
-  template <typename LinkAt, typename ForEachOwn>
-  void Layout(size_t num_nodes, LinkAt link_at, ForEachOwn for_each_own);
+  template <typename ForEachLink, typename ForEachOwn>
+  void Layout(size_t num_nodes, ForEachLink for_each_link,
+              ForEachOwn for_each_own);
 
   std::vector<ItemId> items_by_rank_;
   std::vector<uint32_t> rank_begin_;  // num_ranks() + 1 offsets.

@@ -77,7 +77,8 @@ void ApplyFilters(const TransactionDatabase& db, const Query& query,
 }
 
 /// The planner-backed execution path shared by the sequential and parallel
-/// backends; they differ only in the mining-phase thread count.
+/// backends; they differ only in the thread count of the tree build and the
+/// mining phase.
 Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
                                    size_t num_threads, const char* backend) {
   RPM_RETURN_NOT_OK(query.Validate());
@@ -100,7 +101,8 @@ Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
         RpParams floor_params = query.params;
         floor_params.min_rec = top_k_options.floor_min_rec;
         Stopwatch plan_clock;
-        QueryPlanner::Plan plan = planner.PlanFor(floor_params, budget);
+        QueryPlanner::Plan plan =
+            planner.PlanFor(floor_params, budget, num_threads);
         out.plan_seconds = plan_clock.ElapsedSeconds();
         out.tree_reused = plan.reused;
         if (budget != nullptr && budget->hard_stopped()) {
@@ -142,7 +144,8 @@ Result<QueryResult> ExecutePlanned(QueryPlanner& planner, const Query& query,
       }
     } else {
       Stopwatch plan_clock;
-      QueryPlanner::Plan plan = planner.PlanFor(query.params, budget);
+      QueryPlanner::Plan plan =
+          planner.PlanFor(query.params, budget, num_threads);
       out.plan_seconds = plan_clock.ElapsedSeconds();
       out.tree_reused = plan.reused;
       if (budget != nullptr && budget->hard_stopped()) {

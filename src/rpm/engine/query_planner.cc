@@ -33,7 +33,8 @@ QueryPlanner::QueryPlanner(std::shared_ptr<const DatasetSnapshot> snapshot)
 }
 
 QueryPlanner::Plan QueryPlanner::PlanFor(const RpParams& params,
-                                         QueryBudget* budget) {
+                                         QueryBudget* budget,
+                                         size_t build_threads) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
   if (Plan hit = FindServing(params); hit.prepared != nullptr) return hit;
   // Build outside the lock: concurrent planners for disjoint params
@@ -41,8 +42,8 @@ QueryPlanner::Plan QueryPlanner::PlanFor(const RpParams& params,
   // twice; both results are correct and the second insert is a no-op hit
   // for later queries — simpler than a per-key latch and harmless at
   // session query rates.
-  auto built = std::make_shared<PreparedMining>(
-      PrepareMining(snapshot_->db(), params, PruningMode::kErec, budget));
+  auto built = std::make_shared<PreparedMining>(PrepareMining(
+      snapshot_->db(), params, PruningMode::kErec, budget, build_threads));
   if (budget != nullptr && budget->hard_stopped()) {
     // Aborted build: incomplete RP-list/tree. Hand it back for accounting
     // but never cache it or count it as a session build.

@@ -61,7 +61,12 @@ class QueryPlanner {
   /// mid-build, the partial build is returned UNCACHED and uncounted — a
   /// partial tree must never serve a later query — and the caller must
   /// check budget->hard_stopped() before mining it.
-  Plan PlanFor(const RpParams& params, QueryBudget* budget = nullptr);
+  ///
+  /// `build_threads` is a fresh build's thread count (PrepareMining). It
+  /// changes the build's speed only, never the tree, so it is not part of
+  /// the cache key.
+  Plan PlanFor(const RpParams& params, QueryBudget* budget = nullptr,
+               size_t build_threads = 1);
 
   const DatasetSnapshot& snapshot() const { return *snapshot_; }
   std::shared_ptr<const DatasetSnapshot> snapshot_ptr() const {

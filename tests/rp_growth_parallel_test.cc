@@ -12,7 +12,9 @@
 
 #include "rpm/core/rp_growth.h"
 #include "rpm/core/thread_pool.h"
+#include "rpm/engine/session.h"
 #include "rpm/gen/paper_datasets.h"
+#include "rpm/verify/fault_injection.h"
 #include "test_util.h"
 
 namespace rpm {
@@ -27,14 +29,8 @@ constexpr size_t kThreadCounts[] = {2, 4, 8};
 
 /// Asserts the parallel run at `threads` equals `sequential` bit-for-bit:
 /// patterns, order, and the counters that must not depend on scheduling.
-void ExpectMatchesSequential(const TransactionDatabase& db,
-                             const RpParams& params,
-                             const RpGrowthResult& sequential,
-                             size_t threads,
-                             const RpGrowthOptions& base = {}) {
-  RpGrowthOptions options = base;
-  options.num_threads = threads;
-  RpGrowthResult parallel = MineRecurringPatterns(db, params, options);
+void ExpectSameRun(const RpGrowthResult& parallel,
+                   const RpGrowthResult& sequential, size_t threads) {
   ASSERT_EQ(parallel.patterns.size(), sequential.patterns.size())
       << "threads=" << threads;
   for (size_t i = 0; i < sequential.patterns.size(); ++i) {
@@ -79,6 +75,48 @@ void ExpectMatchesSequential(const TransactionDatabase& db,
       << "threads=" << threads;
   EXPECT_EQ(parallel.stats.support_pruned, sequential.stats.support_pruned)
       << "threads=" << threads;
+}
+
+void ExpectMatchesSequential(const TransactionDatabase& db,
+                             const RpParams& params,
+                             const RpGrowthResult& sequential,
+                             size_t threads,
+                             const RpGrowthOptions& base = {}) {
+  RpGrowthOptions options = base;
+  options.num_threads = threads;
+  ExpectSameRun(MineRecurringPatterns(db, params, options), sequential,
+                threads);
+}
+
+/// Runs `params` over `db` through the engine's sequential backend and its
+/// parallel backend at four threads, whose planner builds the tree at four
+/// threads too, and asserts the runs match. The build must really split:
+/// ParallelFor consults threadpool.spawn once per extra worker it starts.
+void ExpectParallelBackendMatchesSequential(const TransactionDatabase& db,
+                                            const RpParams& params) {
+  {
+    FaultInjectionOptions count_only;
+    count_only.probability_ppm = 0;
+    ScopedFaultInjection armed(count_only);
+    BuildRankedTree(db, PrepareMining(db, params).items_by_rank, nullptr, 4);
+    ASSERT_EQ(FaultInjector::Instance().SiteCounts()["threadpool.spawn"].first,
+              3u)
+        << "the build did not split into four partitions";
+  }
+  auto snapshot = engine::DatasetSnapshot::Create(db);
+  engine::Query query;
+  query.params = params;
+  engine::QuerySession sequential_session(snapshot);
+  Result<engine::QueryResult> sequential =
+      sequential_session.Run(query, engine::BackendKind::kSequential);
+  engine::QuerySession parallel_session(snapshot);
+  Result<engine::QueryResult> parallel =
+      parallel_session.Run(query, engine::BackendKind::kParallel, {4});
+  ASSERT_TRUE(sequential.ok() && parallel.ok());
+  ASSERT_TRUE(sequential->status.ok() && parallel->status.ok());
+  EXPECT_GT(sequential->patterns.size(), 0u);
+  ExpectSameRun({parallel->patterns, parallel->stats, {}, false},
+                {sequential->patterns, sequential->stats, {}, false}, 4);
 }
 
 TEST(RpGrowthParallelTest, PaperExampleAllThreadCounts) {
@@ -138,6 +176,24 @@ TEST(RpGrowthParallelTest, SparseQuestMatchesSequential) {
   for (size_t threads : kThreadCounts) {
     ExpectMatchesSequential(db, params, sequential, threads);
   }
+}
+
+TEST(RpGrowthParallelTest, ParallelBackendQuestMatchesSequential) {
+  RpParams params;
+  params.period = 1440;
+  params.min_ps = 15;
+  params.min_rec = 1;
+  ExpectParallelBackendMatchesSequential(gen::MakeT10I4D100K(0.15, 5),
+                                         params);
+}
+
+TEST(RpGrowthParallelTest, ParallelBackendShopMatchesSequential) {
+  gen::GeneratedClickstream shop = gen::MakeShop14(1.0, 12);
+  RpParams params;
+  params.period = 120;
+  params.min_ps = 200;
+  params.min_rec = 1;
+  ExpectParallelBackendMatchesSequential(shop.db, params);
 }
 
 TEST(RpGrowthParallelTest, ClickstreamMini) {

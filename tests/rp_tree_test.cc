@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <random>
@@ -15,7 +16,11 @@
 
 #include "rpm/core/cancellation.h"
 #include "rpm/core/rp_growth.h"
+#include "rpm/engine/session.h"
+#include "rpm/gen/paper_datasets.h"
+#include "rpm/timeseries/tdb_builder.h"
 #include "rpm/timeseries/transaction_database.h"
+#include "rpm/verify/fault_injection.h"
 #include "test_util.h"
 
 namespace rpm {
@@ -571,15 +576,227 @@ RpParams BuildDbParams() {
   return params;
 }
 
-TEST(TreeBuildTest, ThreadCountArgumentIsIgnored) {
-  // Callers that still pass a thread count get the one sequential build.
-  const TransactionDatabase db = BuildDb(3);
-  const PreparedMining prepared = PrepareMining(db, BuildDbParams());
-  const TreeSnapshot want = Snapshot(prepared.tree);
-  for (size_t threads : {0u, 1u, 2u, 4u}) {
-    const TsPrefixTree tree =
-        BuildRankedTree(db, prepared.items_by_rank, nullptr, threads);
-    EXPECT_EQ(Snapshot(tree), want) << "threads=" << threads;
+/// Every array of a sealed tree, read through its public accessors: node
+/// links, list spans as slab offsets, the slab, the rank ranges and the
+/// rank lists. Equal values mean byte-identical trees.
+struct SealedArrays {
+  std::vector<std::pair<uint32_t, uint32_t>> links;  ///< (parent, rank).
+  std::vector<std::pair<size_t, uint32_t>> spans;    ///< (offset, length).
+  TimestampList slab;
+  std::vector<std::pair<uint32_t, uint32_t>> rank_ranges;
+  std::vector<TimestampList> rank_lists;
+  bool operator==(const SealedArrays&) const = default;
+};
+
+SealedArrays ArraysOf(const TsPrefixTree& tree) {
+  SealedArrays out;
+  // The root children's ranges tile the slab; the lowest one starts it.
+  const Timestamp* base = nullptr;
+  for (uint32_t n = 0; n < tree.NodeCount(); ++n) {
+    if (tree.LinkOf(n).parent != TsPrefixTree::kNoParent) continue;
+    if (base == nullptr || tree.ListOf(n).data() < base) {
+      base = tree.ListOf(n).data();
+    }
+  }
+  if (base != nullptr) out.slab.assign(base, base + tree.TimestampCount());
+  for (uint32_t n = 0; n < tree.NodeCount(); ++n) {
+    out.links.emplace_back(tree.LinkOf(n).parent, tree.LinkOf(n).rank);
+    out.spans.emplace_back(tree.ListOf(n).data() - base, tree.ListLength(n));
+  }
+  for (size_t rank = 0; rank < tree.num_ranks(); ++rank) {
+    out.rank_ranges.emplace_back(tree.RankBegin(rank), tree.RankEnd(rank));
+    if (tree.has_rank_lists()) out.rank_lists.push_back(tree.RankList(rank));
+  }
+  return out;
+}
+
+/// A database and the candidate order a build runs over.
+struct BuildCase {
+  std::string name;
+  TransactionDatabase db;
+  std::vector<ItemId> order;
+};
+
+std::vector<uint32_t> RankOf(const BuildCase& c) {
+  std::vector<uint32_t> rank_of(c.db.ItemUniverseSize(), kNotCandidate);
+  for (uint32_t rank = 0; rank < c.order.size(); ++rank) {
+    rank_of[c.order[rank]] = rank;
+  }
+  return rank_of;
+}
+
+/// A transaction's candidate ranks, ascending.
+std::vector<uint32_t> RanksOf(const Transaction& tr,
+                              const std::vector<uint32_t>& rank_of) {
+  std::vector<uint32_t> ranks;
+  for (ItemId item : tr.items) {
+    if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
+  }
+  std::sort(ranks.begin(), ranks.end());
+  return ranks;
+}
+
+/// The reference build: one builder inserting every transaction in ts
+/// order, so chains are in first-touch order, then the rank lists.
+TsPrefixTree SequentialBuild(const BuildCase& c) {
+  const std::vector<uint32_t> rank_of = RankOf(c);
+  TsPrefixTree::Builder builder(c.order);
+  for (const Transaction& tr : c.db.transactions()) {
+    builder.InsertTransaction(RanksOf(tr, rank_of), tr.ts);
+  }
+  TsPrefixTree tree = std::move(builder).Seal();
+  tree.FillRankLists(c.db.transactions(), rank_of);
+  return tree;
+}
+
+/// The same inserts in an explicit first-touch model.
+TreeSnapshot FirstTouchSnapshot(const BuildCase& c) {
+  const std::vector<uint32_t> rank_of = RankOf(c);
+  FirstTouchModel model(c.order.size());
+  for (const Transaction& tr : c.db.transactions()) {
+    model.Insert(RanksOf(tr, rank_of), {tr.ts});
+  }
+  return model.Snapshot();
+}
+
+std::vector<ItemId> CandidateOrder(const TransactionDatabase& db,
+                                   const RpParams& params) {
+  return PrepareMining(db, params).items_by_rank;
+}
+
+/// Large enough for BuildRankedTree to split over four partitions.
+const BuildCase& SplitCase() {
+  static const BuildCase c = [] {
+    BuildCase out{"T10I4D100K/0.15", gen::MakeT10I4D100K(0.15, 5), {}};
+    RpParams params;
+    params.period = 1440;
+    params.min_ps = 15;
+    params.min_rec = 1;
+    out.order = CandidateOrder(out.db, params);
+    return out;
+  }();
+  return c;
+}
+
+std::vector<BuildCase> BuildCases() {
+  std::vector<BuildCase> cases;
+  for (uint64_t seed : {3u, 5u, 13u}) {
+    TransactionDatabase db = BuildDb(seed);
+    std::vector<ItemId> order = CandidateOrder(db, BuildDbParams());
+    cases.push_back({"BuildDb/" + std::to_string(seed), std::move(db),
+                     std::move(order)});
+  }
+  {
+    TransactionDatabase db = testing::DenseBurstDb();
+    std::vector<ItemId> order =
+        CandidateOrder(db, testing::DenseBurstParams(db));
+    cases.push_back({"DenseBurstDb", std::move(db), std::move(order)});
+  }
+  // Table 1 over the paper's candidate order a..f ('g' is pruned).
+  cases.push_back({"Table1", testing::PaperExampleDb(), {A, B, C, D, E, F}});
+  // One bucket: every transaction holds rank 0.
+  {
+    std::vector<std::pair<Timestamp, Itemset>> rows;
+    std::mt19937 rng(11);
+    for (Timestamp ts = 1; ts <= 400; ++ts) {
+      Itemset items = {0};
+      for (ItemId item = 1; item < 9; ++item) {
+        if (rng() % 3 == 0) items.push_back(item);
+      }
+      rows.push_back({ts, items});
+    }
+    cases.push_back({"OneBucket", MakeDatabase(std::move(rows)),
+                     {0, 3, 1, 4, 2, 5, 6, 7, 8}});
+  }
+  // Transactions of non-candidate items only (9 and 10 are not ranked),
+  // which the build skips, between ones it inserts.
+  {
+    std::vector<std::pair<Timestamp, Itemset>> rows;
+    std::mt19937 rng(17);
+    for (Timestamp ts = 1; ts <= 400; ++ts) {
+      Itemset items;
+      for (ItemId item = 0; item < 11; ++item) {
+        if (rng() % (item < 9 ? 4 : 2) == 0) items.push_back(item);
+      }
+      if (ts % 5 == 0) items = {9, 10};
+      if (items.empty()) items = {9};
+      rows.push_back({ts, items});
+    }
+    cases.push_back({"NonCandidateOnly", MakeDatabase(std::move(rows)),
+                     {8, 0, 7, 1, 6, 2, 5, 3, 4}});
+  }
+  return cases;
+}
+
+constexpr size_t kBuildThreadCounts[] = {0, 1, 2, 3, 4, 8};
+
+TEST(TreeBuildTest, ThreadCountDoesNotChangeTheTree) {
+  for (const BuildCase& c : BuildCases()) {
+    const TsPrefixTree reference = SequentialBuild(c);
+    ASSERT_GT(reference.NodeCount(), 0u) << c.name;
+    const SealedArrays want = ArraysOf(reference);
+    const TreeSnapshot model = FirstTouchSnapshot(c);
+    EXPECT_EQ(Snapshot(reference), model) << c.name;
+    for (size_t threads : kBuildThreadCounts) {
+      const TsPrefixTree tree =
+          BuildRankedTree(c.db, c.order, nullptr, threads);
+      EXPECT_EQ(ArraysOf(tree), want) << c.name << " threads=" << threads;
+      EXPECT_EQ(Snapshot(tree), model) << c.name << " threads=" << threads;
+    }
+  }
+  // The split case's nodes are too many for the map-based model; its
+  // reference is the sequential builder, checked against the model above.
+  const BuildCase& c = SplitCase();
+  const SealedArrays want = ArraysOf(SequentialBuild(c));
+  for (size_t threads : kBuildThreadCounts) {
+    EXPECT_EQ(ArraysOf(BuildRankedTree(c.db, c.order, nullptr, threads)),
+              want)
+        << c.name << " threads=" << threads;
+  }
+}
+
+TEST(TreeBuildTest, SplitCaseRunsFourPartitions) {
+  // ParallelFor consults threadpool.spawn once per extra worker, so three
+  // hits mean the build above really ran four partitions.
+  FaultInjectionOptions count_only;
+  count_only.probability_ppm = 0;
+  ScopedFaultInjection armed(count_only);
+  const BuildCase& c = SplitCase();
+  BuildRankedTree(c.db, c.order, nullptr, 4);
+  EXPECT_EQ(FaultInjector::Instance().SiteCounts()["threadpool.spawn"].first,
+            3u);
+}
+
+TEST(TreeBuildTest, AnySplitOfTheBucketsSealsToTheSameTree) {
+  // SealParts directly, over splits BuildRankedTree would not choose:
+  // buckets dealt round-robin to k builders and inserted in descending
+  // rank order, so no builder creates its nodes in ts order.
+  for (const BuildCase& c : BuildCases()) {
+    const SealedArrays want = ArraysOf(SequentialBuild(c));
+    const std::vector<uint32_t> rank_of = RankOf(c);
+    const std::vector<Transaction>& txns = c.db.transactions();
+    std::vector<std::vector<uint32_t>> ranks(txns.size());
+    std::map<uint32_t, std::vector<size_t>, std::greater<>> buckets;
+    for (size_t t = 0; t < txns.size(); ++t) {
+      ranks[t] = RanksOf(txns[t], rank_of);
+      if (!ranks[t].empty()) buckets[ranks[t][0]].push_back(t);
+    }
+    for (uint32_t k : {1u, 2u, 3u, 5u}) {
+      std::vector<TsPrefixTree::Builder> parts(
+          k, TsPrefixTree::Builder(c.order));
+      std::vector<TsPrefixTree::CreatedNodes> created(txns.size());
+      for (const auto& [bucket, members] : buckets) {
+        const uint32_t p = bucket % k;
+        for (size_t t : members) {
+          const uint32_t first = parts[p].num_nodes();
+          parts[p].InsertTransaction(ranks[t], txns[t].ts);
+          created[t] = {p, first, parts[p].num_nodes() - first};
+        }
+      }
+      TsPrefixTree tree = TsPrefixTree::SealParts(parts, created);
+      tree.FillRankLists(txns, rank_of);
+      EXPECT_EQ(ArraysOf(tree), want) << c.name << " k=" << k;
+    }
   }
 }
 
@@ -611,6 +828,83 @@ TEST(TreeBuildTest, MemoryBudgetTripsBuild) {
   EXPECT_TRUE(budget.hard_stopped());
   EXPECT_EQ(budget.stop_reason(), StopReason::kMemory);
   EXPECT_LT(tree.TimestampCount(), prepared.tree.TimestampCount());
+}
+
+// --- Governed parallel build: four partitions on worker threads -----------
+
+TEST(TreeBuildTest, ParallelBuildLatchedCancelInsertsNothing) {
+  const BuildCase& c = SplitCase();
+  CancellationToken cancel;
+  cancel.Cancel();
+  QueryBudget budget(ResourceLimits{}, &cancel);
+  budget.Probe();
+  const TsPrefixTree tree = BuildRankedTree(c.db, c.order, &budget, 4);
+  EXPECT_EQ(budget.stop_reason(), StopReason::kCancelled);
+  EXPECT_EQ(tree.NodeCount(), 0u);
+  EXPECT_EQ(tree.TimestampCount(), 0u);
+  EXPECT_FALSE(tree.has_rank_lists());  // A stopped build has none.
+}
+
+TEST(TreeBuildTest, ParallelBuildOneByteBudgetStops) {
+  const BuildCase& c = SplitCase();
+  ResourceLimits limits;
+  limits.memory_budget_bytes = 1;
+  QueryBudget budget(limits, nullptr);
+  const TsPrefixTree tree = BuildRankedTree(c.db, c.order, &budget, 4);
+  EXPECT_EQ(budget.stop_reason(), StopReason::kMemory);
+  EXPECT_LT(tree.TimestampCount(), c.db.size());
+  EXPECT_FALSE(tree.has_rank_lists());
+  // The tripping bytes were reported before the stop.
+  EXPECT_GT(budget.usage().tracked_bytes_peak, 0u);
+}
+
+TEST(TreeBuildTest, ParallelBuildAllocFaultIsResourceExhausted) {
+  // Fail the last node creation of the build, in whichever partition
+  // makes it: the query fails cleanly and caches nothing.
+  const BuildCase& c = SplitCase();
+  const size_t nodes = SequentialBuild(c).NodeCount();
+  RpParams params;
+  params.period = 1440;
+  params.min_ps = 15;
+  params.min_rec = 1;
+  engine::Query query;
+  query.params = params;
+  engine::QuerySession session(engine::DatasetSnapshot::Create(c.db));
+  {
+    FaultInjectionOptions inject;
+    inject.site_filter = "rptree.alloc";
+    inject.fire_on_nth = nodes;
+    ScopedFaultInjection armed(inject);
+    Result<engine::QueryResult> run =
+        session.Run(query, engine::BackendKind::kParallel, {4});
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(run->status.IsResourceExhausted()) << run->status.ToString();
+    EXPECT_TRUE(run->patterns.empty());
+    EXPECT_EQ(FaultInjector::Instance().fires(), 1u);
+  }
+  EXPECT_EQ(session.planner().cache_size(), 0u);
+  EXPECT_EQ(session.tree_builds(), 0u);
+  // Disarmed, the same session builds, caches and mines.
+  Result<engine::QueryResult> rerun =
+      session.Run(query, engine::BackendKind::kParallel, {4});
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_TRUE(rerun->status.ok());
+  EXPECT_EQ(rerun->stats.initial_tree_nodes, nodes);
+  EXPECT_EQ(session.tree_builds(), 1u);
+}
+
+TEST(TreeBuildTest, ParallelBuildSpawnFailureYieldsTheSameTree) {
+  // No worker thread starts: the calling thread builds all four
+  // partitions, and the sealed tree is unchanged.
+  const BuildCase& c = SplitCase();
+  const SealedArrays want = ArraysOf(SequentialBuild(c));
+  FaultInjectionOptions inject;
+  inject.site_filter = "threadpool.spawn";
+  inject.probability_ppm = 1000000;
+  ScopedFaultInjection armed(inject);
+  EXPECT_EQ(ArraysOf(BuildRankedTree(c.db, c.order, nullptr, 4)), want);
+  // ParallelFor stops starting workers at the first refused spawn.
+  EXPECT_EQ(FaultInjector::Instance().fires(), 1u);
 }
 
 // --- Rank lists: each top-level rank's sorted TS^item ----------------------
